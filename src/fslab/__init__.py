@@ -13,7 +13,6 @@ from .spectral import (
     Field,
     Trajectory,
     SpacetimeSpectrum,
-    SymbolSample,
     ZeroModeError,
     make_grid,
     dft_forward,
@@ -27,10 +26,8 @@ from .spectral import (
     hdot_norm,
 )
 from .lp import (
-    BumpPair,
     ConeAtlas,
     ProjectionSpec,
-    build_bumps,
     build_cone_atlas,
     project,
     modulation_split,

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "smooth_step",
-    "smooth_step_derivative",
     "PlateauBump",
     "eta_bump",
     "phi_shell",
@@ -46,11 +45,6 @@ def smooth_step(x):
     return out
 
 
-def smooth_step_derivative(x, h=1e-6):
-    """Central-difference derivative of smooth_step (exact formula not needed)."""
-    return (smooth_step(np.asarray(x) + h) - smooth_step(np.asarray(x) - h)) / (2.0 * h)
-
-
 class PlateauBump:
     """Even cutoff: 1 on [-plateau, plateau], 0 outside (-support, support).
 
@@ -68,11 +62,6 @@ class PlateauBump:
         r = np.abs(np.asarray(r, dtype=float))
         w = self.support - self.plateau
         return smooth_step((self.support - r) / w)
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        w = self.support - self.plateau
-        return -np.sign(r) * smooth_step_derivative((self.support - np.abs(r)) / w) / w
 
     def params(self) -> dict:
         return {"plateau": self.plateau, "support": self.support}

@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from . import cone, fslb_io, norms, oscillatory, reports, solver
-from .lp import build_cone_atlas
 from .spectral import Field, Grid, Trajectory
 
 USAGE_ERROR = 2

@@ -10,7 +10,7 @@ finite partition of unity on the unit sphere.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,57 +26,16 @@ from .spectral import (
 )
 
 __all__ = [
-    "BumpPair",
     "ConeAtlas",
     "ProjectionSpec",
-    "build_bumps",
     "build_cone_atlas",
     "cone_cutoff_values",
     "project",
     "box_centers",
+    "modulation_shell",
     "modulation_split",
     "max_modulation_index",
 ]
-
-
-@dataclass(frozen=True)
-class BumpPair:
-    """The eta / phi / chi cutoff family used by every projection.
-
-    eta is 1 on [-1.5, 1.5] and supported in (-2, 2); phi(r) = eta(r) - eta(2r)
-    so that 1 = eta(r) + sum_{k>=1} phi(r/2^k); chi tiles: sum_l chi(x-l) = 1.
-    """
-
-    smoothness: int = 2
-
-    def __post_init__(self):
-        if self.smoothness < 2:
-            raise ValueError("smoothness must be >= 2")
-
-    def eta(self, r):
-        return bumps.eta_bump(r)
-
-    def phi(self, r):
-        return bumps.phi_shell(r)
-
-    def chi(self, x):
-        return bumps.chi_box(x)
-
-    def params(self) -> dict:
-        return {
-            "smoothness": self.smoothness,
-            "eta": bumps._ETA.params(),
-            "chi": bumps._CHI.params(),
-        }
-
-
-_DEFAULT_BUMPS = BumpPair()
-
-
-def build_bumps(smoothness: int = 2) -> BumpPair:
-    """Bump family from the exp(-1/x) mollified plateau (C-infinity, so any
-    requested smoothness >= 2 is met)."""
-    return BumpPair(smoothness=int(smoothness))
 
 
 def _sphere_candidates(n: int, count: int, seed: int) -> np.ndarray:
@@ -153,7 +112,7 @@ class ConeAtlas:
             "directions": self.directions.tolist(),
             "plateau_cos": self.plateau_cos,
             "support_cos": self.support_cos,
-            "bumps": _DEFAULT_BUMPS.params(),
+            "bumps": {"eta": bumps._ETA.params(), "chi": bumps._CHI.params()},
         }
 
 
@@ -250,16 +209,16 @@ class ProjectionSpec:
                 raise ValueError("standalone cone projection needs e and margin")
 
 
-def _spatial_multiplier(grid: Grid, spec: ProjectionSpec, bp: BumpPair) -> np.ndarray:
+def _spatial_multiplier(grid: Grid, spec: ProjectionSpec) -> np.ndarray:
     if spec.kind == "dyadic":
-        return bp.phi(grid.freq_norm / 2.0**spec.k)
+        return bumps.phi_shell(grid.freq_norm / 2.0**spec.k)
     if spec.kind == "dyadic_leq":
-        return bp.eta(grid.freq_norm / 2.0**spec.k)
+        return bumps.eta_bump(grid.freq_norm / 2.0**spec.k)
     if spec.kind == "box":
         scale = 2.0**spec.k
         mult = np.ones(grid.shape)
         for axis in range(grid.n):
-            mult = mult * bp.chi((grid.freq_component(axis) - spec.l[axis]) / scale)
+            mult = mult * bumps.chi_box((grid.freq_component(axis) - spec.l[axis]) / scale)
         return mult
     if spec.kind == "cone":
         if spec.atlas is not None:
@@ -268,21 +227,24 @@ def _spatial_multiplier(grid: Grid, spec: ProjectionSpec, bp: BumpPair) -> np.nd
     raise ValueError(f"not a spatial projection: {spec.kind}")
 
 
-def _modulation_multiplier(S: SpacetimeSpectrum, j: int, s: float, bp: BumpPair) -> np.ndarray:
-    r = modulation_offset(S, s)
+def modulation_shell(r, j: int):
+    """Symbol of the modulation shell Q_j at offsets r = tau + |xi|^{2s}.
+
+    eta(r) for j = 0 and phi(r / 2^j) above, so the shells telescope to 1.
+    """
     if j == 0:
-        return bp.eta(r)
-    return bp.phi(r / 2.0**j)
+        return bumps.eta_bump(r)
+    return bumps.phi_shell(r / 2.0**j)
 
 
-def project(X, spec: ProjectionSpec, bp: BumpPair = _DEFAULT_BUMPS):
+def project(X, spec: ProjectionSpec):
     """Apply the named cutoff to a frequency-side Field or a SpacetimeSpectrum."""
     if spec.kind == "modulation":
         if not isinstance(X, SpacetimeSpectrum):
             raise TypeError("modulation projections Q_j need a SpacetimeSpectrum")
-        mult = _modulation_multiplier(X, spec.j, spec.s, bp)
+        mult = modulation_shell(modulation_offset(X, spec.s), spec.j)
         return SpacetimeSpectrum(X.grid, X.t0, X.dt, X.window, mult * X.values)
-    mult = _spatial_multiplier(X.grid, spec, bp)
+    mult = _spatial_multiplier(X.grid, spec)
     if isinstance(X, SpacetimeSpectrum):
         return SpacetimeSpectrum(X.grid, X.t0, X.dt, X.window, mult[None, ...] * X.values)
     if isinstance(X, Field):
@@ -312,7 +274,7 @@ def max_modulation_index(grid: Grid, dt: float, num_frames: int, s: float) -> in
 
 
 def modulation_split(u: Trajectory, s: float, j_max: int | None = None,
-                     window: str = "taper", bp: BumpPair = _DEFAULT_BUMPS):
+                     window: str = "taper"):
     """Split a trajectory into modulation shells Q_0 .. Q_jmax plus remainder.
 
     Returns (pieces, remainder) where pieces is a list of (j, Trajectory).
@@ -323,10 +285,11 @@ def modulation_split(u: Trajectory, s: float, j_max: int | None = None,
     S = spacetime_dft(u, window=window)
     if j_max is None:
         j_max = max_modulation_index(u.grid, u.dt, u.num_frames, s)
+    r = modulation_offset(S, s)
     total = np.zeros_like(S.values)
     pieces = []
     for j in range(j_max + 1):
-        mult = _modulation_multiplier(S, j, s, bp)
+        mult = modulation_shell(r, j)
         piece = mult * S.values
         total += piece
         pieces.append((j, spacetime_idft(SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, piece))))

@@ -13,18 +13,16 @@ shapes at desk scale n in {2, 3}; the theorems they come from assume n >= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bumps
-from .cone import n_multiplier
 from .lp import (
-    BumpPair,
     ConeAtlas,
-    box_centers,
     cone_cutoff_values,
     max_modulation_index,
+    modulation_shell,
 )
 from .reports import NormReport, RatioReport
 from .spectral import (
@@ -32,9 +30,10 @@ from .spectral import (
     Grid,
     SpacetimeSpectrum,
     Trajectory,
-    dft_forward,
+    apply_spatial_multiplier,
     dft_inverse,
     duhamel_integral,
+    evolve_spectrum,
     fractional_multiplier,
     hdot_norm,
     modulation_offset,
@@ -60,7 +59,6 @@ __all__ = [
 DIMENSION_CAVEAT = ("inequality shapes checked at n in {2,3}; "
                     "the source theorems assume n >= 4")
 
-_DEFAULT_BUMPS = BumpPair()
 SUPPORT_TOL = 1e-8
 
 
@@ -118,6 +116,11 @@ def mixed_norm(u: Trajectory, spec: MixedNormSpec) -> float:
     return float(np.max(inner))
 
 
+def _default_cone_margin(n: int) -> float:
+    """Cone margin 0.5, capped below 1/sqrt(n) so the axis atlas stays valid."""
+    return min(0.5, 1.0 / np.sqrt(n) - 0.05)
+
+
 def axis_cone_atlas(n: int, margin: float | None = None) -> ConeAtlas:
     """Cone atlas over the 2n signed axes; only these admit mixed norms.
 
@@ -126,7 +129,7 @@ def axis_cone_atlas(n: int, margin: float | None = None) -> ConeAtlas:
     """
     worst = 1.0 / np.sqrt(n)
     if margin is None:
-        margin = min(0.5, worst - 0.05)
+        margin = _default_cone_margin(n)
     if margin >= worst - 0.01:
         raise ValueError(f"axis atlas needs margin < 1/sqrt(n) = {worst:.3f}")
     dirs = np.concatenate([np.eye(n), -np.eye(n)], axis=0)
@@ -151,10 +154,9 @@ def _relative_mass_outside(S: SpacetimeSpectrum, indicator: np.ndarray) -> float
     return np.sqrt(out / total)
 
 
-def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float,
-                      bp: BumpPair = _DEFAULT_BUMPS, gate: bool = True):
+def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float):
     """X_k = sum_j 2^{j/2} ||Q_j f||_{L2} + penalized remainder, or inf."""
-    if gate and _relative_mass_outside(S, _shell_indicator(S.grid, k)) > SUPPORT_TOL:
+    if _relative_mass_outside(S, _shell_indicator(S.grid, k)) > SUPPORT_TOL:
         return float("inf")
     total_l2 = float(np.sum(np.abs(S.values) ** 2))
     if total_l2 == 0.0:
@@ -165,7 +167,7 @@ def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float,
     value = 0.0
     mult_sum = np.zeros_like(r)
     for j in range(j_max + 1):
-        mult = bp.eta(r) if j == 0 else bp.phi(r / 2.0**j)
+        mult = modulation_shell(r, j)
         mult_sum += mult
         piece = float(np.sqrt(np.sum((mult**2) * np.abs(S.values) ** 2) / c))
         value += 2.0 ** (j / 2.0) * piece
@@ -185,8 +187,7 @@ def _cone_gate_indicator(grid: Grid, k: int, axis: int, sign: float, margin: flo
     return (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
 
 
-def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float,
-                      margin: float = 0.5, gate: bool = True):
+def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float, margin: float = 0.5):
     """Y_k^e = 2^{-k(2s-1)/2} || (i d_t + D^{2s} + i) f ||_{L^1_e L^2}, or inf.
 
     The cone support gate uses the floor margin * 2^{k-1}, matching the lower
@@ -201,11 +202,10 @@ def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float,
         sign = float(np.sign(e_arr[axis]))
     if float(np.sum(np.abs(S.values) ** 2)) == 0.0:
         return 0.0
-    if gate:
-        shell = _shell_indicator(g, k)
-        cone = _cone_gate_indicator(g, k, axis, sign, margin)
-        if _relative_mass_outside(S, shell & cone) > SUPPORT_TOL:
-            return float("inf")
+    shell = _shell_indicator(g, k)
+    cone = _cone_gate_indicator(g, k, axis, sign, margin)
+    if _relative_mass_outside(S, shell & cone) > SUPPORT_TOL:
+        return float("inf")
     g_traj = spacetime_idft(_schrodinger_apply(S, s))
     spec = MixedNormSpec(e_axis=axis, p=1, q=2)
     return 2.0 ** (-k * (2.0 * s - 1.0) / 2.0) * mixed_norm(g_traj, spec)
@@ -261,11 +261,11 @@ def _shell_range(grid: Grid) -> range:
 
 
 def _fsigma_from_spectrum(S: SpacetimeSpectrum, sigma: float, s: float,
-                          atlas: ConeAtlas | None, bp: BumpPair = _DEFAULT_BUMPS) -> float:
+                          atlas: ConeAtlas | None) -> float:
     g = S.grid
     total = 0.0
     for k in _shell_range(g):
-        mult = bp.phi(g.freq_norm / 2.0**k)
+        mult = bumps.phi_shell(g.freq_norm / 2.0**k)
         piece = mult[None, ...] * S.values
         if not np.any(piece):
             continue
@@ -327,7 +327,8 @@ class InputFamily:
     Draw kinds cycle deterministically: static shell data, free evolutions,
     modulated shells at prescribed j, and cone-localized free evolutions.
     All trajectories are returned already tapered in time; downstream norms
-    run with window='none'.
+    run with window='none'.  The cone margin defaults to the axis atlas's
+    default for dimension n.
     """
 
     n: int = 2
@@ -336,10 +337,12 @@ class InputFamily:
     num_frames: int = 32
     t_half: float = 1.0
     shells: tuple = (1, 2, 3)
-    margin: float = 0.5
+    margin: float | None = None
     taper_fraction: float = 0.1
 
     def __post_init__(self):
+        if self.margin is None:
+            self.margin = _default_cone_margin(self.n)
         self._grid = Grid(self.n, self.m, self.box_length)
 
     @property
@@ -363,7 +366,7 @@ class InputFamily:
                 "num_frames": self.num_frames, "t_half": self.t_half,
                 "shells": list(self.shells), "margin": self.margin}
 
-    def shell_spectrum(self, rng, k: int, bp: BumpPair = _DEFAULT_BUMPS) -> np.ndarray:
+    def shell_spectrum(self, rng, k: int) -> np.ndarray:
         """Gaussian coefficients times the Delta_k shell bump (centered order).
 
         The unpaired Nyquist row is zeroed so that frequency reflection (and
@@ -371,7 +374,7 @@ class InputFamily:
         """
         g = self.grid
         coeff = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        spec = coeff * bp.phi(g.freq_norm / 2.0**k)
+        spec = coeff * bumps.phi_shell(g.freq_norm / 2.0**k)
         for axis in range(g.n):
             idx = [slice(None)] * g.n
             idx[axis] = 0
@@ -381,13 +384,9 @@ class InputFamily:
     def _trajectory_from_phase(self, spec0: np.ndarray, omega: np.ndarray) -> Trajectory:
         """Frames ifft( e^{i t omega(xi)} spec0 ), tapered in time."""
         g = self.grid
-        tshape = (-1,) + (1,) * g.n
-        phases = np.exp(1j * self.times.reshape(tshape) * omega[None, ...])
-        frames = np.fft.ifftn(
-            np.fft.ifftshift(phases * spec0[None, ...], axes=tuple(range(1, g.n + 1))),
-            axes=tuple(range(1, g.n + 1))) / g.dx**g.n
+        frames = evolve_spectrum(spec0, g, self.times, omega)
         w = bumps.window_weights(self.times, self.taper_fraction)
-        return Trajectory(g, self.t0, self.dt, frames * w.reshape(tshape))
+        return Trajectory(g, self.t0, self.dt, frames * w.reshape((-1,) + (1,) * g.n))
 
     def static(self, rng, k: int) -> Trajectory:
         spec0 = self.shell_spectrum(rng, k)
@@ -456,7 +455,7 @@ def _kind_embedding(family, s, atlas, seed, index, collect):
     best = None
     j_top = max_modulation_index(family.grid, family.dt, family.num_frames, s)
     for j in range(min(j_top, 8) + 1):
-        mult = _DEFAULT_BUMPS.eta(r) if j == 0 else _DEFAULT_BUMPS.phi(r / 2.0**j)
+        mult = modulation_shell(r, j)
         Sj = SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, mult * S.values)
         lhs = _xk_from_spectrum(Sj, k, s)
         rhs = min(2.0 ** (k * s) * 2.0 ** (-j / 2.0), 1.0) * y
@@ -564,14 +563,6 @@ def _kind_maximal(family, s, atlas, seed, index, collect):
     return best
 
 
-def _apply_spatial_multiplier(traj: Trajectory, mult: np.ndarray) -> Trajectory:
-    g = traj.grid
-    axes = tuple(range(1, g.n + 1))
-    spec = np.fft.fftshift(np.fft.fftn(traj.values, axes=axes), axes=axes)
-    vals = np.fft.ifftn(np.fft.ifftshift(mult[None, ...] * spec, axes=axes), axes=axes)
-    return Trajectory(g, traj.t0, traj.dt, vals)
-
-
 def _kind_ds_commute(family, s, atlas, seed, index, collect):
     # single-shell data so the neighbor-sum side is a genuine two-sided match
     rng = np.random.default_rng((seed, index, 7))
@@ -584,13 +575,15 @@ def _kind_ds_commute(family, s, atlas, seed, index, collect):
     pq = [(1, 2), (2, 2), (np.inf, 2), (2, np.inf)][index % 4]
     spec = MixedNormSpec(e_axis=axis, p=pq[0], q=pq[1])
 
-    shell_mult = _DEFAULT_BUMPS.phi(g.freq_norm / 2.0**ell)
+    def filtered(mult):
+        return Trajectory(g, traj.t0, traj.dt, apply_spatial_multiplier(traj.values, g, mult))
+
+    shell_mult = bumps.phi_shell(g.freq_norm / 2.0**ell)
     frac = fractional_multiplier(g, beta, "zero_out")
-    lhs = mixed_norm(_apply_spatial_multiplier(traj, frac * shell_mult), spec)
+    lhs = mixed_norm(filtered(frac * shell_mult), spec)
     rhs = 0.0
     for lp in (ell - 1, ell, ell + 1):
-        mult = _DEFAULT_BUMPS.phi(g.freq_norm / 2.0**lp)
-        rhs += mixed_norm(_apply_spatial_multiplier(traj, mult), spec)
+        rhs += mixed_norm(filtered(bumps.phi_shell(g.freq_norm / 2.0**lp)), spec)
     rhs *= 2.0 ** (ell * beta)
     ratio = _ratio_guarded(lhs, rhs)
     if ratio is not None:
@@ -683,12 +676,10 @@ def _kind_trilinear(family, s, atlas, seed, index, collect, sigma=None,
     g = family.grid
     factors = [np.conj(t.values) if c == "conjugate" else t.values
                for t, c in zip(trajs, pattern)]
-    prod12 = Trajectory(g, trajs[0].t0, trajs[0].dt, factors[0] * factors[1])
-    inner = _apply_spatial_multiplier(prod12, fractional_multiplier(g, -beta, "zero_out"))
-    d3 = _apply_spatial_multiplier(
-        Trajectory(g, trajs[2].t0, trajs[2].dt, factors[2]),
-        fractional_multiplier(g, beta, "zero_out"))
-    G = Trajectory(g, trajs[0].t0, trajs[0].dt, inner.values * d3.values)
+    inner = apply_spatial_multiplier(factors[0] * factors[1], g,
+                                     fractional_multiplier(g, -beta, "zero_out"))
+    d3 = apply_spatial_multiplier(factors[2], g, fractional_multiplier(g, beta, "zero_out"))
+    G = Trajectory(g, trajs[0].t0, trajs[0].dt, inner * d3)
 
     lhs = n_sigma_norm(G, sigma, s, atlas, window="none")
     s0 = (family.n - 2.0 * s) / 2.0

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-__all__ = ["RatioReport", "NormReport", "save_json", "save_csv", "worker_count"]
+__all__ = ["RatioReport", "NormReport", "save_json", "save_csv"]
 
 
 def _jsonable(obj):
@@ -107,14 +107,3 @@ def save_csv(path, rows, header=None) -> None:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
-
-def worker_count() -> int:
-    """Worker cap from FSLB_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("FSLB_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        v = 0
-    if v <= 0:
-        return min(4, os.cpu_count() or 1)
-    return v

@@ -13,18 +13,17 @@ homogeneous Sobolev norm of order (n - 2s)/2 with the zero mode excluded.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 import yaml
 
-from .bumps import time_cutoff
 from .norms import f_sigma_norm
 from .spectral import (
     Field,
     Grid,
     Trajectory,
-    dft_forward,
+    apply_spatial_multiplier,
     dft_inverse,
     duhamel_integral,
     fractional_multiplier,
@@ -100,7 +99,6 @@ class SolveConfig:
     epsilon: float = 1e-2
     seed: int = 0
     zero_mode_policy: str = "zero_out"
-    cutoff: dict = field(default_factory=lambda: {"plateau": 1.0, "support": 1.9})
 
     def __post_init__(self):
         if self.quadrature not in ("trapezoid", "simpson"):
@@ -182,8 +180,8 @@ def gaussian_spectrum_data(grid: Grid, sigma: float, epsilon: float,
     return Field(grid, u0.values * (epsilon / norm))
 
 
-def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm, s: float,
-                policy: str, axes: tuple) -> np.ndarray:
+def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm,
+                policy: str) -> np.ndarray:
     """One trilinear term on an array of frames (leading time axis)."""
     conj = {"plain": (lambda a: a), "conjugate": np.conj}
     f1 = conj[term.pattern[0]](vals)
@@ -191,13 +189,13 @@ def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm, s: float,
     f3 = conj[term.pattern[2]](vals)
 
     def mult(arr, beta):
-        spec = np.fft.fftshift(np.fft.fftn(arr, axes=axes), axes=axes)
-        m = fractional_multiplier(grid, beta, policy)
         if beta < 0 and policy == "reject":
-            zero_idx = (slice(None),) + tuple([grid.m // 2] * grid.n)
+            # zero mode sits at index 0 of the FFT-native spectrum
+            spec = np.fft.fftn(arr, axes=tuple(range(1, grid.n + 1)))
+            zero_idx = (slice(None),) + (0,) * grid.n
             if np.max(np.abs(spec[zero_idx])) > 1e-13 * max(np.max(np.abs(spec)), 1e-300):
                 raise ValueError("nonlinearity product has nonzero mean under reject policy")
-        return np.fft.ifftn(np.fft.ifftshift(m[None, ...] * spec, axes=axes), axes=axes)
+        return apply_spatial_multiplier(arr, grid, fractional_multiplier(grid, beta, policy))
 
     inner = mult(f1 * f2, -term.beta)
     outer = mult(f3, term.beta)
@@ -208,23 +206,16 @@ def apply_nonlinearity(u: Field, spec: NonlinearitySpec, s: float,
                        zero_mode_policy: str = "zero_out") -> Field:
     """F(u) = sum_i coeff_i (D^{-beta_i} u_{i,1} u_{i,2}) D^{beta_i} u_{i,3}."""
     spec.validate(s)
-    g = u.grid
-    vals = u.values[None, ...]
-    axes = tuple(range(1, g.n + 1))
+    return Field(u.grid, _nonlinearity_values(u.values[None, ...], u.grid, spec,
+                                              zero_mode_policy)[0])
+
+
+def _nonlinearity_values(vals: np.ndarray, grid: Grid, spec: NonlinearitySpec,
+                         policy: str) -> np.ndarray:
     out = np.zeros_like(vals)
     for term in spec.terms:
-        out = out + _term_apply(vals, g, term, s, zero_mode_policy, axes)
-    return Field(g, out[0])
-
-
-def _nonlinearity_trajectory(v: Trajectory, spec: NonlinearitySpec, s: float,
-                             policy: str) -> Trajectory:
-    g = v.grid
-    axes = tuple(range(1, g.n + 1))
-    out = np.zeros_like(v.values)
-    for term in spec.terms:
-        out = out + _term_apply(v.values, g, term, s, policy, axes)
-    return Trajectory(g, v.t0, v.dt, out)
+        out = out + _term_apply(vals, grid, term, policy)
+    return out
 
 
 def duhamel_map(v: Trajectory, u0: Field, spec: NonlinearitySpec,
@@ -233,9 +224,9 @@ def duhamel_map(v: Trajectory, u0: Field, spec: NonlinearitySpec,
     free = free_evolution(u0, v.t0, v.dt, v.num_frames, config.s)
     if not spec.terms:
         return free
-    forcing = _nonlinearity_trajectory(v, spec, config.s, config.zero_mode_policy)
-    correction = duhamel_integral(forcing, config.s, rule=config.quadrature,
-                                  cutoff=time_cutoff)
+    forcing = Trajectory(v.grid, v.t0, v.dt,
+                         _nonlinearity_values(v.values, v.grid, spec, config.zero_mode_policy))
+    correction = duhamel_integral(forcing, config.s, rule=config.quadrature)
     return Trajectory(v.grid, v.t0, v.dt, free.values + correction.values)
 
 

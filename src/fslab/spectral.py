@@ -10,11 +10,18 @@ The opposite sign on the time axis places the free wave e^{i t |xi|^{2s}}
 on the characteristic tau = -|xi|^{2s}, which is the convention the
 modulation projections are built on.  With these normalizations Parseval
 reads ||f||_{L2}^2 = sum |Ff|^2 / L^n (plus a 1/(T dt) factor in time).
+
+FFT order is decided in this module only.  Spectra cross the public boundary
+(dft_forward, dft_inverse, SpacetimeSpectrum, and every multiplier built from
+Grid.freq_1d / Grid.freq_norm) in centred order, zero mode in the middle.
+Internal spatial round trips (apply_spatial_multiplier, evolve_spectrum,
+duhamel_integral) stay in FFT-native order from end to end: only the
+grid-sized multiplier is shifted, never a (T, m^n) batch of frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +35,6 @@ __all__ = [
     "Field",
     "Trajectory",
     "SpacetimeSpectrum",
-    "SymbolSample",
     "make_grid",
     "dft_forward",
     "dft_inverse",
@@ -36,6 +42,8 @@ __all__ = [
     "fractional_multiplier",
     "apply_fractional",
     "linear_propagate",
+    "apply_spatial_multiplier",
+    "evolve_spectrum",
     "free_evolution",
     "spacetime_dft",
     "spacetime_idft",
@@ -164,10 +172,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.num_frames)
 
-    @property
-    def frames(self) -> list:
-        return [Field(self.grid, self.values[i]) for i in range(self.num_frames)]
-
     def frame(self, i: int) -> Field:
         return Field(self.grid, self.values[i])
 
@@ -216,36 +220,6 @@ class SpacetimeSpectrum:
 
     def copy(self) -> "SpacetimeSpectrum":
         return SpacetimeSpectrum(self.grid, self.t0, self.dt, self.window, self.values.copy())
-
-
-@dataclass
-class SymbolSample:
-    """A phase-space point (xi, tau) with its decomposition along a direction e."""
-
-    xi: np.ndarray
-    tau: float
-    s: float
-    e: np.ndarray
-
-    def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=float)
-        self.e = np.asarray(self.e, dtype=float)
-        if abs(np.linalg.norm(self.e) - 1.0) > 1e-12:
-            raise ValueError("direction e must be a unit vector")
-        if not (0.5 < self.s <= 1.0):
-            raise ValueError("order s must lie in (1/2, 1]")
-
-    @property
-    def xi_e1(self) -> float:
-        return float(np.dot(self.xi, self.e))
-
-    @property
-    def xi_perp(self) -> np.ndarray:
-        return self.xi - self.xi_e1 * self.e
-
-    @property
-    def xi_perp_normsq(self) -> float:
-        return float(np.dot(self.xi_perp, self.xi_perp))
 
 
 def make_grid(n: int, m: int, box_length: float) -> Grid:
@@ -308,15 +282,34 @@ def linear_propagate(f: Field, t: float, s: float) -> Field:
     return dft_inverse(Field(f.grid, phase * spec.values))
 
 
+def apply_spatial_multiplier(values: np.ndarray, grid: Grid, mult: np.ndarray) -> np.ndarray:
+    """Fourier multiplier mult(xi) over the trailing n axes of `values`.
+
+    `mult` is grid-sized in centred order; only it is shifted to FFT-native
+    order, so `values` may carry any leading (time) axes at no extra copy.
+    """
+    axes = tuple(range(values.ndim - grid.n, values.ndim))
+    return np.fft.ifftn(np.fft.ifftshift(mult) * np.fft.fftn(values, axes=axes), axes=axes)
+
+
+def evolve_spectrum(spec0: np.ndarray, grid: Grid, times: np.ndarray,
+                    omega: np.ndarray) -> np.ndarray:
+    """Frames dft_inverse(e^{i t omega(xi)} spec0) for each t in `times`.
+
+    spec0 and omega are grid-sized in centred order; the result has shape
+    (len(times),) + grid.shape.
+    """
+    tshape = (-1,) + (1,) * grid.n
+    phases = np.exp(1j * np.reshape(times, tshape) * np.fft.ifftshift(omega)[None, ...])
+    return np.fft.ifftn(phases * np.fft.ifftshift(spec0)[None, ...],
+                        axes=tuple(range(1, grid.n + 1))) / grid.dx**grid.n
+
+
 def free_evolution(u0: Field, t0: float, dt: float, num_frames: int, s: float) -> Trajectory:
     """Trajectory of e^{i t D^{2s}} u0 on a uniform frame lattice."""
     g = u0.grid
-    spec0 = dft_forward(u0).values
-    w2s = g.freq_norm ** (2.0 * s)
     times = t0 + dt * np.arange(num_frames)
-    phases = np.exp(1j * times.reshape((-1,) + (1,) * g.n) * w2s[None, ...])
-    frames = np.fft.ifftn(np.fft.ifftshift(phases * spec0[None, ...], axes=tuple(range(1, g.n + 1))),
-                          axes=tuple(range(1, g.n + 1))) / g.dx**g.n
+    frames = evolve_spectrum(dft_forward(u0).values, g, times, g.freq_norm ** (2.0 * s))
     return Trajectory(g, t0, dt, frames)
 
 
@@ -393,27 +386,25 @@ def _cumulative_simpson_from(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid",
-                     cutoff=time_cutoff) -> Trajectory:
+def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> Trajectory:
     """Windowed Duhamel term -i psi(t) int_0^t e^{i(t-t')D^{2s}} F(t') dt'.
 
     The integral runs along the frame lattice (signed for t < 0) in the
     interaction picture: W(t') = e^{-i t' D^{2s}} F(t') is accumulated by the
     chosen quadrature rule and propagated forward once per frame.  t = 0 must
-    be a frame time.  Pass cutoff=None to skip the psi(t) truncation.
+    be a frame time.  Works in FFT-native order from end to end.
     """
     if rule not in ("trapezoid", "simpson"):
         raise ValueError("quadrature rule must be 'trapezoid' or 'simpson'")
     g = forcing.grid
-    T = forcing.num_frames
     times = forcing.times
     i0 = int(np.argmin(np.abs(times)))
     if abs(times[i0]) > 1e-9 * forcing.dt:
         raise ValueError("t = 0 must lie on the frame lattice")
 
-    w2s = g.freq_norm ** (2.0 * s)
+    w2s = np.fft.ifftshift(g.freq_norm ** (2.0 * s))
     spatial_axes = tuple(range(1, g.n + 1))
-    spec = np.fft.fftshift(np.fft.fftn(forcing.values, axes=spatial_axes), axes=spatial_axes)
+    spec = np.fft.fftn(forcing.values, axes=spatial_axes)
     tshape = (-1,) + (1,) * g.n
     W = np.exp(-1j * times.reshape(tshape) * w2s[None, ...]) * spec
 
@@ -424,7 +415,7 @@ def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid",
         back = accumulate(W[i0::-1], forcing.dt)
         H[: i0 + 1] = -back[::-1]
 
-    psi = cutoff(times) if cutoff is not None else np.ones_like(times)
+    psi = time_cutoff(times)
     out = -1j * psi.reshape(tshape) * np.exp(1j * times.reshape(tshape) * w2s[None, ...]) * H
-    vals = np.fft.ifftn(np.fft.ifftshift(out, axes=spatial_axes), axes=spatial_axes)
+    vals = np.fft.ifftn(out, axes=spatial_axes)
     return Trajectory(g, forcing.t0, forcing.dt, vals)

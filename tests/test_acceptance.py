@@ -19,7 +19,7 @@ from fslab.cone import (
     verify_factorization_envelope,
     verify_n_properties,
 )
-from fslab.lp import build_bumps, build_cone_atlas
+from fslab.lp import build_cone_atlas
 from fslab.norms import InputFamily, verify_estimate
 from fslab.oscillatory import (
     PhaseIntegralSpec,
@@ -81,19 +81,18 @@ def test_criterion_01_spectral_identities():
 def test_criterion_02_partition_identities():
     started = time.time()
     rng = np.random.default_rng(202)
-    bp = build_bumps(2)
     worst = 0.0
     # dyadic telescoping on 1000 sampled radii
     r = rng.uniform(0.0, 300.0, 1000)
-    tele = bp.eta(r) + sum(bp.phi(r / 2.0**k) for k in range(1, 32))
+    tele = bumps.eta_bump(r) + sum(bumps.phi_shell(r / 2.0**k) for k in range(1, 32))
     worst = max(worst, np.abs(tele - 1.0).max())
     # box partition on 1000 sampled points of R^2, two dyadic scales
     for k in (0, 1):
         scale = 2.0**k
         xi = rng.uniform(-20, 20, size=(1000, 2))
         lrange = scale * np.arange(-32, 33)
-        chi0 = bp.chi((xi[:, 0][:, None] - lrange[None, :]) / scale)
-        chi1 = bp.chi((xi[:, 1][:, None] - lrange[None, :]) / scale)
+        chi0 = bumps.chi_box((xi[:, 0][:, None] - lrange[None, :]) / scale)
+        chi1 = bumps.chi_box((xi[:, 1][:, None] - lrange[None, :]) / scale)
         total = np.einsum("il,im->i", chi0, chi1)
         worst = max(worst, np.abs(total - 1.0).max())
     # cone partition for n = 2 and 3

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from fslab.bumps import chi_box, eta_bump, phi_shell
 from fslab.lp import (
     ProjectionSpec,
     box_centers,
-    build_bumps,
     build_cone_atlas,
     cone_cutoff_values,
     modulation_split,
@@ -27,40 +27,31 @@ from conftest import plane_wave, random_field
 
 class TestBumps:
     def test_eta_plateau_and_support(self):
-        bp = build_bumps(2)
-        assert bp.eta(0.5) == 1.0
-        assert bp.eta(1.0) == 1.0
-        assert bp.eta(3.0) == 0.0
+        assert eta_bump(0.5) == 1.0
+        assert eta_bump(1.0) == 1.0
+        assert eta_bump(3.0) == 0.0
         r = np.linspace(-1.99, 1.99, 100)
-        assert np.all(bp.eta(r) >= 0)
+        assert np.all(eta_bump(r) >= 0)
 
     def test_partial_telescoping_at_r(self):
-        bp = build_bumps(2)
         r = 1.5
-        total = bp.eta(r) + sum(bp.phi(r / 2.0**k) for k in range(1, 21))
+        total = eta_bump(r) + sum(phi_shell(r / 2.0**k) for k in range(1, 21))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_dense_telescoping(self):
-        bp = build_bumps(2)
         r = np.linspace(0.0, 200.0, 4001)
-        total = bp.eta(r) + sum(bp.phi(r / 2.0**k) for k in range(1, 30))
+        total = eta_bump(r) + sum(phi_shell(r / 2.0**k) for k in range(1, 30))
         assert np.abs(total - 1.0).max() < 1e-10
 
     def test_phi_plateau_value(self):
-        bp = build_bumps(2)
-        assert bp.phi(1.5) == 1.0
-        assert bp.phi(1.0) == 1.0
-        assert bp.phi(10.0) == 0.0
+        assert phi_shell(1.5) == 1.0
+        assert phi_shell(1.0) == 1.0
+        assert phi_shell(10.0) == 0.0
 
     def test_chi_translates_sum_to_one(self):
-        bp = build_bumps(2)
         x = np.linspace(-4, 4, 2001)
-        total = sum(bp.chi(x - l) for l in range(-8, 9))
+        total = sum(chi_box(x - l) for l in range(-8, 9))
         assert np.abs(total - 1.0).max() < 1e-10
-
-    def test_smoothness_validated(self):
-        with pytest.raises(ValueError):
-            build_bumps(1)
 
 
 class TestConeAtlas:

@@ -184,12 +184,12 @@ class TestFSigma:
         # single-shell data: dominated by the 2^{k sigma} Z_k term of its shell,
         # with neighbor shells contributing through the bump overlap
         S = spacetime_dft(traj, window="none")
-        from fslab.norms import _zk_from_spectrum, _DEFAULT_BUMPS
+        from fslab.norms import _zk_from_spectrum
         g = family.grid
         atlas = axis_cone_atlas(2)
         total = 0.0
         for kk in (k - 1, k, k + 1):
-            mult = _DEFAULT_BUMPS.phi(g.freq_norm / 2.0**kk)
+            mult = bumps.phi_shell(g.freq_norm / 2.0**kk)
             Sk = SpacetimeSpectrum(g, S.t0, S.dt, S.window, mult[None] * S.values)
             zk, _ = _zk_from_spectrum(Sk, kk, 0.75, atlas)
             total += (2.0 ** (kk * sigma) * zk) ** 2
@@ -300,3 +300,10 @@ class TestVerifyEstimate:
     def test_report_notes_dimension_caveat(self):
         rep = verify_estimate("linfty_l2", draws=4, seed=0)
         assert any("n >= 4" in note for note in rep.notes)
+
+    def test_default_margin_valid_in_four_dimensions(self):
+        # 0.5 is not below 1/sqrt(4) - 0.01; the default must derive from n
+        family = InputFamily(n=4, m=8, shells=(1, 2))
+        assert family.margin < 0.5
+        rep = verify_estimate("linfty_l2", family, draws=1)
+        assert np.isfinite(rep.cstar)
