@@ -95,7 +95,11 @@ def _cmd_solve(args) -> int:
     init = extras["initial_data"]
     grid = cfg.grid
     if init.get("kind", "gaussian_spectrum") == "file":
-        arr = fslb_io.read_fslb(init["path"])
+        try:
+            arr = fslb_io.read_fslb(init["path"])
+        except FileNotFoundError:
+            print(f"fslab: initial data file not found: {init['path']}", file=sys.stderr)
+            return USAGE_ERROR
         u0 = Field(grid, arr)
     else:
         u0 = solver.gaussian_spectrum_data(

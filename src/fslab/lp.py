@@ -5,14 +5,19 @@ dyadic shells Delta_k and their cumulative Delta_{<=k}, modulation shells
 Q_j measured from the characteristic tau = -|xi|^{2s}, box projections
 P_{k,l} built from translated chi cutoffs, and cone cutoffs theta_e from a
 finite partition of unity on the unit sphere.
+
+The grid-only symbols (dyadic shells, the cone partition table, the
+modulation-weight table) come from the one symbol cache in spectral.py.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 from . import bumps
 from .spectral import (
@@ -20,20 +25,25 @@ from .spectral import (
     Grid,
     SpacetimeSpectrum,
     Trajectory,
+    cached_symbol,
     modulation_offset,
+    offset_lattice,
     spacetime_dft,
     spacetime_idft,
 )
 
 __all__ = [
     "ConeAtlas",
+    "ModulationWeights",
     "ProjectionSpec",
     "build_cone_atlas",
     "cone_cutoff_values",
     "project",
     "box_centers",
+    "dyadic_shell",
     "modulation_shell",
     "modulation_split",
+    "modulation_weights",
     "max_modulation_index",
 ]
 
@@ -92,17 +102,29 @@ class ConeAtlas:
             raise ValueError("cone atlas does not cover the sphere; rebuild with smaller margin")
         return raw / total
 
-    def multiplier(self, grid: Grid, index: int) -> np.ndarray:
-        """theta_e(xi/|xi|) on the frequency lattice; zero mode gets 0."""
+    def multipliers(self, grid: Grid) -> np.ndarray:
+        """theta_e(xi/|xi|) for every direction, shape (K,) + grid.shape; zero mode gets 0.
+
+        Built once per grid and atlas values (directions and cap cosines),
+        then served read-only from the symbol cache.
+        """
+        key = ("cone_atlas", grid, self.directions.shape, self.directions.tobytes(),
+               self.plateau_cos, self.support_cos)
+        return cached_symbol(key, lambda: self._multiplier_table(grid))
+
+    def _multiplier_table(self, grid: Grid) -> np.ndarray:
         norm = grid.freq_norm
         flat = np.stack([grid.freq_component(a) * np.ones(grid.shape) for a in range(grid.n)],
                         axis=-1).reshape(-1, grid.n)
         nz = norm.reshape(-1) > 0
         omegas = flat[nz] / norm.reshape(-1)[nz, None]
-        vals = self.partition_values(omegas)[index]
-        out = np.zeros(grid.npoints)
-        out[nz] = vals
-        return out.reshape(grid.shape)
+        out = np.zeros((self.num_directions, grid.npoints))
+        out[:, nz] = self.partition_values(omegas)
+        return out.reshape((self.num_directions,) + grid.shape)
+
+    def multiplier(self, grid: Grid, index: int) -> np.ndarray:
+        """theta_e(xi/|xi|) on the frequency lattice for one direction (read-only)."""
+        return self.multipliers(grid)[index]
 
     def export_document(self) -> dict:
         return {
@@ -209,9 +231,15 @@ class ProjectionSpec:
                 raise ValueError("standalone cone projection needs e and margin")
 
 
+def dyadic_shell(grid: Grid, k: int) -> np.ndarray:
+    """Symbol phi(|xi| / 2^k) of Delta_k on the lattice (read-only, cached)."""
+    return cached_symbol(("dyadic_shell", grid, k),
+                         lambda: bumps.phi_shell(grid.freq_norm / 2.0**k))
+
+
 def _spatial_multiplier(grid: Grid, spec: ProjectionSpec) -> np.ndarray:
     if spec.kind == "dyadic":
-        return bumps.phi_shell(grid.freq_norm / 2.0**spec.k)
+        return dyadic_shell(grid, spec.k)
     if spec.kind == "dyadic_leq":
         return bumps.eta_bump(grid.freq_norm / 2.0**spec.k)
     if spec.kind == "box":
@@ -271,6 +299,52 @@ def max_modulation_index(grid: Grid, dt: float, num_frames: int, s: float) -> in
     tau_max = np.pi / dt
     r_max = tau_max + float(np.max(grid.freq_norm)) ** (2.0 * s)
     return max(1, int(np.ceil(np.log2(max(r_max, 2.0) / 1.5))))
+
+
+class ModulationWeights(NamedTuple):
+    """Squared Q_j symbols on one (tau, xi) lattice, for X_k-type reductions.
+
+    `shells` is the sparse (j_max + 1) x (T m^n) matrix of Q_j(r)^2.  phi(r / 2^j)
+    is nonzero only for 0.75 * 2^j < |r| < 1.9 * 2^j and eta(r) only for
+    |r| < 1.9, so each offset r meets at most two consecutive shells: the
+    matrix holds at most two entries per column, O(T m^n) however large
+    j_max is.  `remainder` is (1 - sum_j Q_j)^2, or None where the shells
+    telescope to exactly 1 on the whole lattice.
+    """
+
+    j_max: int
+    shells: scipy.sparse.csr_array
+    remainder: np.ndarray | None
+
+    def shell_sums(self, power: np.ndarray) -> np.ndarray:
+        """sum |Q_j f|^2 for j = 0..j_max, from power = |f^|^2 on the lattice."""
+        return self.shells @ power.ravel()
+
+
+def modulation_weights(grid: Grid, num_frames: int, dt: float, s: float) -> ModulationWeights:
+    """Modulation-weight table for Q_0 .. Q_jmax, built once per (grid, T, dt, s)."""
+    key = ("modulation_weights", grid, int(num_frames), float(dt), float(s))
+    return cached_symbol(key, lambda: _build_modulation_weights(grid, num_frames, dt, s))
+
+
+def _build_modulation_weights(grid: Grid, num_frames: int, dt: float,
+                              s: float) -> ModulationWeights:
+    r = offset_lattice(grid, num_frames, dt, s)
+    j_max = max_modulation_index(grid, dt, num_frames, s)
+    rows, cols, weights = [], [], []
+    mult_sum = np.zeros_like(r)
+    for j in range(j_max + 1):
+        mult = modulation_shell(r, j)
+        mult_sum += mult
+        hit = np.flatnonzero(mult)
+        rows.append(np.full(hit.size, j))
+        cols.append(hit)
+        weights.append(mult.ravel()[hit] ** 2)
+    shells = scipy.sparse.csr_array(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(j_max + 1, r.size))
+    remainder = (1.0 - mult_sum) ** 2
+    return ModulationWeights(j_max, shells, remainder if np.any(remainder) else None)
 
 
 def modulation_split(u: Trajectory, s: float, j_max: int | None = None,

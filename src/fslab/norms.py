@@ -3,9 +3,17 @@
 The norms follow the resolution-space hierarchy: modulation-weighted X_k,
 cone-localized Y_k^e of the Schroedinger operator in mixed L^1_e L^2, the
 two-branch upper bound for the infimum norm Z_k, and the dyadically
-weighted solution / forcing norms F^sigma and N^sigma.  verify_estimate
-draws seeded random input families and reports the worst LHS/RHS ratio for
-each inequality, with a stability flag under doubling the family.
+weighted solution / forcing norms F^sigma and N^sigma.
+
+The kernels do no repeated symbol work.  X_k reads the spectrum S only
+through |S|^2: every ||Q_j f||^2 is one reduction of |S|^2 against the
+cached modulation-weight table (lp.modulation_weights).  Y_k^e needs only
+an inverse FFT along e, by discrete Parseval over (x_perp, t).  Cone,
+shell and Schroedinger symbols come from the one symbol cache.
+
+verify_estimate draws seeded random input families and reports the worst
+LHS/RHS ratio for each inequality, with a stability flag under doubling the
+family.
 
 Caveat recorded in every report: the estimates are checked as inequality
 shapes at desk scale n in {2, 3}; the theorems they come from assume n >= 4.
@@ -21,8 +29,10 @@ from . import bumps
 from .lp import (
     ConeAtlas,
     cone_cutoff_values,
+    dyadic_shell,
     max_modulation_index,
     modulation_shell,
+    modulation_weights,
 )
 from .reports import NormReport, RatioReport
 from .spectral import (
@@ -31,12 +41,14 @@ from .spectral import (
     SpacetimeSpectrum,
     Trajectory,
     apply_spatial_multiplier,
+    cached_symbol,
     dft_inverse,
     duhamel_integral,
     evolve_spectrum,
     fractional_multiplier,
     hdot_norm,
     modulation_offset,
+    offset_lattice,
     spacetime_dft,
     spacetime_idft,
 )
@@ -141,50 +153,87 @@ def axis_cone_atlas(n: int, margin: float | None = None) -> ConeAtlas:
 # ---------------------------------------------------------------------------
 # internal spectrum-side norm kernels (public ops wrap these)
 
+def _power(values: np.ndarray) -> np.ndarray:
+    return values.real**2 + values.imag**2
+
+
 def _shell_indicator(grid: Grid, k: int) -> np.ndarray:
     norm = grid.freq_norm
     return (norm >= 2.0 ** (k - 1)) & (norm <= 2.0 ** (k + 1))
 
 
-def _relative_mass_outside(S: SpacetimeSpectrum, indicator: np.ndarray) -> float:
-    total = float(np.sum(np.abs(S.values) ** 2))
+def _relative_mass_outside(power_xi: np.ndarray, indicator: np.ndarray) -> float:
+    """sqrt(mass off `indicator` / total mass), from the tau-summed power."""
+    total = float(np.sum(power_xi))
     if total == 0.0:
         return 0.0
-    out = float(np.sum(np.abs(S.values * (~indicator)[None, ...]) ** 2))
-    return np.sqrt(out / total)
+    return np.sqrt(float(np.sum(power_xi[~indicator])) / total)
 
 
-def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float):
-    """X_k = sum_j 2^{j/2} ||Q_j f||_{L2} + penalized remainder, or inf."""
-    if _relative_mass_outside(S, _shell_indicator(S.grid, k)) > SUPPORT_TOL:
+def _xk_from_power(power: np.ndarray, power_xi: np.ndarray, grid: Grid, dt: float,
+                   k: int, s: float):
+    """X_k = sum_j 2^{j/2} ||Q_j f||_{L2} + penalized remainder, or inf.
+
+    power = |S|^2 on the (tau, xi) lattice and power_xi its sum over tau;
+    each ||Q_j f||^2 is one reduction against the cached modulation weights.
+    """
+    if _relative_mass_outside(power_xi, _shell_indicator(grid, k)) > SUPPORT_TOL:
         return float("inf")
-    total_l2 = float(np.sum(np.abs(S.values) ** 2))
-    if total_l2 == 0.0:
+    if float(np.sum(power_xi)) == 0.0:
         return 0.0
-    c = S.grid.box_length**S.grid.n * S.num_frames * S.dt
-    r = modulation_offset(S, s)
-    j_max = max_modulation_index(S.grid, S.dt, S.num_frames, s)
-    value = 0.0
-    mult_sum = np.zeros_like(r)
-    for j in range(j_max + 1):
-        mult = modulation_shell(r, j)
-        mult_sum += mult
-        piece = float(np.sqrt(np.sum((mult**2) * np.abs(S.values) ** 2) / c))
-        value += 2.0 ** (j / 2.0) * piece
-    rem = float(np.sqrt(np.sum(((1.0 - mult_sum) ** 2) * np.abs(S.values) ** 2) / c))
-    value += 2.0 ** (j_max / 2.0) * rem
+    num_frames = power.shape[0]
+    c = grid.box_length**grid.n * num_frames * dt
+    table = modulation_weights(grid, num_frames, dt, s)
+    pieces = np.sqrt(table.shell_sums(power) / c)
+    value = float(np.dot(2.0 ** (np.arange(table.j_max + 1) / 2.0), pieces))
+    if table.remainder is not None:
+        rem = float(np.sqrt(np.sum(table.remainder * power) / c))
+        value += 2.0 ** (table.j_max / 2.0) * rem
     return value
 
 
-def _schrodinger_apply(S: SpacetimeSpectrum, s: float) -> SpacetimeSpectrum:
-    """(i d_t + D^{2s} + i) as the space-time multiplier -(tau+|xi|^{2s}) + i."""
-    symbol = -modulation_offset(S, s) + 1j
-    return SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, symbol * S.values)
+def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float):
+    power = _power(S.values)
+    return _xk_from_power(power, power.sum(axis=0), S.grid, S.dt, k, s)
+
+
+def _schrodinger_symbol(grid: Grid, num_frames: int, dt: float, s: float) -> np.ndarray:
+    """(i d_t + D^{2s} + i) as the space-time multiplier -(tau+|xi|^{2s}) + i (cached)."""
+    key = ("schrodinger", grid, int(num_frames), float(dt), float(s))
+    return cached_symbol(key, lambda: -offset_lattice(grid, num_frames, dt, s) + 1j)
+
+
+def _lateral_l2_profile(values: np.ndarray, grid: Grid, dt: float, axis: int) -> np.ndarray:
+    """x_e -> ||g(., x_e, .)||_{L^2(x_perp, t)} for g the spacetime_idft of `values`.
+
+    By discrete Parseval over (x_perp, t) only the e axis is transformed
+    back.  The time phase e^{-i tau t0} and the centring shifts multiply g
+    by unimodular factors, so they drop out of the modulus.
+    """
+    n, num_frames = grid.n, values.shape[0]
+    h = np.fft.ifft(values, axis=1 + axis)
+    other = tuple(a for a in range(values.ndim) if a != 1 + axis)
+    sq = np.sum(_power(h), axis=other)
+    scale = (num_frames / grid.m ** (n - 1) * grid.dx ** (n - 1) * dt
+             / (num_frames * dt * grid.dx**n) ** 2)
+    return np.sqrt(sq * scale)
 
 
 def _cone_gate_indicator(grid: Grid, k: int, axis: int, sign: float, margin: float) -> np.ndarray:
     dots = sign * grid.freq_component(axis) * np.ones(grid.shape)
     return (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
+
+
+def _yk_from_values(values: np.ndarray, power_xi: np.ndarray, grid: Grid, dt: float,
+                    k: int, axis: int, sign: float, s: float, margin: float):
+    if float(np.sum(power_xi)) == 0.0:
+        return 0.0
+    gate = _shell_indicator(grid, k) & _cone_gate_indicator(grid, k, axis, sign, margin)
+    if _relative_mass_outside(power_xi, gate) > SUPPORT_TOL:
+        return float("inf")
+    symbol = _schrodinger_symbol(grid, values.shape[0], dt, s)
+    profile = _lateral_l2_profile(symbol * values, grid, dt, axis)
+    return 2.0 ** (-k * (2.0 * s - 1.0) / 2.0) * float(np.sum(profile) * grid.dx)
 
 
 def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float, margin: float = 0.5):
@@ -200,20 +249,8 @@ def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float, margin: float =
         e_arr = np.asarray(e, dtype=float)
         axis = _axis_from_direction(e_arr, g.n)
         sign = float(np.sign(e_arr[axis]))
-    if float(np.sum(np.abs(S.values) ** 2)) == 0.0:
-        return 0.0
-    shell = _shell_indicator(g, k)
-    cone = _cone_gate_indicator(g, k, axis, sign, margin)
-    if _relative_mass_outside(S, shell & cone) > SUPPORT_TOL:
-        return float("inf")
-    g_traj = spacetime_idft(_schrodinger_apply(S, s))
-    spec = MixedNormSpec(e_axis=axis, p=1, q=2)
-    return 2.0 ** (-k * (2.0 * s - 1.0) / 2.0) * mixed_norm(g_traj, spec)
-
-
-def _cone_projected(S: SpacetimeSpectrum, atlas: ConeAtlas, index: int) -> SpacetimeSpectrum:
-    mult = atlas.multiplier(S.grid, index)
-    return SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, mult[None, ...] * S.values)
+    power_xi = _power(S.values).sum(axis=0)
+    return _yk_from_values(S.values, power_xi, g, S.dt, k, axis, sign, s, margin)
 
 
 def _zk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float,
@@ -224,27 +261,29 @@ def _zk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float,
     sum_e min(X_k(theta_e f), Y_k^e(theta_e f)).  An upper bound by the
     definition of the infimum; never claimed to be the infimum itself.
     """
-    x_all = _xk_from_spectrum(S, k, s)
+    g = S.grid
+    power = _power(S.values)
+    power_xi = power.sum(axis=0)
+    x_all = _xk_from_power(power, power_xi, g, S.dt, k, s)
     branches = {"all_x": x_all}
     meta = {"branch_values": branches, "cone_choices": None}
-    total_mass = float(np.sum(np.abs(S.values) ** 2))
+    total_mass = float(np.sum(power_xi))
     if atlas is not None and total_mass > 0.0:
         cone_total = 0.0
         choices = []
-        for i in range(atlas.num_directions):
-            Se = _cone_projected(S, atlas, i)
+        for theta, e in zip(atlas.multipliers(g), atlas.directions):
+            theta2 = theta**2
+            power_xi_e = theta2 * power_xi
             # roundoff crumbs from the partition normalization count as empty
-            if float(np.sum(np.abs(Se.values) ** 2)) <= 1e-24 * total_mass:
+            if float(np.sum(power_xi_e)) <= 1e-24 * total_mass:
                 choices.append("empty")
                 continue
-            xe = _xk_from_spectrum(Se, k, s)
-            e = atlas.directions[i]
+            xe = _xk_from_power(theta2 * power, power_xi_e, g, S.dt, k, s)
             axis = int(np.argmax(np.abs(e)))
-            sign = float(np.sign(e[axis]))
-            ye = _yk_from_spectrum(Se, k, sign * np.eye(S.grid.n)[axis], s, margin=atlas.margin)
-            best = min(xe, ye)
+            ye = _yk_from_values(theta * S.values, power_xi_e, g, S.dt, k, axis,
+                                 float(np.sign(e[axis])), s, atlas.margin)
             choices.append("Y" if ye <= xe else "X")
-            cone_total += best
+            cone_total += min(xe, ye)
         branches["cone_split"] = cone_total
         meta["cone_choices"] = choices
     value = min(branches.values())
@@ -265,8 +304,7 @@ def _fsigma_from_spectrum(S: SpacetimeSpectrum, sigma: float, s: float,
     g = S.grid
     total = 0.0
     for k in _shell_range(g):
-        mult = bumps.phi_shell(g.freq_norm / 2.0**k)
-        piece = mult[None, ...] * S.values
+        piece = dyadic_shell(g, k)[None, ...] * S.values
         if not np.any(piece):
             continue
         Sk = SpacetimeSpectrum(g, S.t0, S.dt, S.window, piece)
@@ -312,7 +350,7 @@ def n_sigma_norm(F: Trajectory, sigma: float, s: float, atlas: ConeAtlas | None 
     if atlas is None and F.grid.n >= 2:
         atlas = axis_cone_atlas(F.grid.n)
     S = spacetime_dft(F, window=window)
-    inv = S.values / (-modulation_offset(S, s) + 1j)
+    inv = S.values / _schrodinger_symbol(S.grid, S.num_frames, S.dt, s)
     Sinv = SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, inv)
     return _fsigma_from_spectrum(Sinv, sigma, s, atlas)
 
@@ -374,7 +412,7 @@ class InputFamily:
         """
         g = self.grid
         coeff = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        spec = coeff * bumps.phi_shell(g.freq_norm / 2.0**k)
+        spec = coeff * dyadic_shell(g, k)
         for axis in range(g.n):
             idx = [slice(None)] * g.n
             idx[axis] = 0
@@ -494,9 +532,9 @@ def _kind_smoothing(family, s, atlas, seed, index, collect):
             e = np.zeros(family.n)
             e[axis] = sign
             mult = cone_cutoff_values(family.grid, e, family.margin)
-            piece = spacetime_idft(SpacetimeSpectrum(
-                St.grid, St.t0, St.dt, St.window, mult[None, ...] * St.values))
-            lhs = mixed_norm(piece, MixedNormSpec(e_axis=axis, p=np.inf, q=2))
+            # L^inf_e L^2 of the cone piece, by the same Parseval reduction as Y_k^e
+            lhs = float(np.max(_lateral_l2_profile(mult[None, ...] * St.values,
+                                                   family.grid, St.dt, axis)))
             ratio = _ratio_guarded(lhs, rhs)
             if ratio is not None:
                 collect(f"smoothing_{tag}", ratio)
@@ -578,12 +616,12 @@ def _kind_ds_commute(family, s, atlas, seed, index, collect):
     def filtered(mult):
         return Trajectory(g, traj.t0, traj.dt, apply_spatial_multiplier(traj.values, g, mult))
 
-    shell_mult = bumps.phi_shell(g.freq_norm / 2.0**ell)
+    shell_mult = dyadic_shell(g, ell)
     frac = fractional_multiplier(g, beta, "zero_out")
     lhs = mixed_norm(filtered(frac * shell_mult), spec)
     rhs = 0.0
     for lp in (ell - 1, ell, ell + 1):
-        rhs += mixed_norm(filtered(bumps.phi_shell(g.freq_norm / 2.0**lp)), spec)
+        rhs += mixed_norm(filtered(dyadic_shell(g, lp)), spec)
     rhs *= 2.0 ** (ell * beta)
     ratio = _ratio_guarded(lhs, rhs)
     if ratio is not None:

@@ -127,14 +127,51 @@ class SolveConfig:
         return asdict(self)
 
 
+# The keys a solve config may hold, per section; anything else is a typo.
+CONFIG_KEYS = {
+    "grid": ("n", "m", "box_length"),
+    "time": ("t_half", "frames"),
+    "equation": ("s",),
+    "nonlinearity": ("terms",),
+    "picard": ("max_iterations", "tolerance", "quadrature", "epsilon", "seed",
+               "zero_mode_policy"),
+    "initial_data": ("kind", "seed", "width", "path"),
+    "output": ("directory",),
+}
+TERM_KEYS = ("beta", "pattern", "coeff")
+
+
+def _section(section, name: str, allowed: tuple | None = None) -> dict:
+    """A config mapping checked against its allowed keys; missing or empty is {}."""
+    allowed = CONFIG_KEYS[name] if allowed is None else allowed
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValueError(f"config section '{name}' must be a mapping, "
+                         f"not {type(section).__name__}")
+    unknown = sorted(str(key) for key in section if key not in allowed)
+    if unknown:
+        raise ValueError(f"unknown key '{unknown[0]}' in config section '{name}' "
+                         f"(allowed: {', '.join(allowed)})")
+    return section
+
+
 def load_config(path) -> tuple:
-    """Read the YAML key-value tree; returns (SolveConfig, NonlinearitySpec, extras)."""
+    """Read the YAML key-value tree; returns (SolveConfig, NonlinearitySpec, extras).
+
+    Malformed YAML, and unknown sections or keys, raise ValueError; the
+    message names the section and the key.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    grid = doc.get("grid", {})
-    time = doc.get("time", {})
-    equation = doc.get("equation", {})
-    picard = doc.get("picard", {})
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config is not valid YAML: {exc}") from exc
+    doc = _section(raw, "top level", tuple(CONFIG_KEYS))
+    grid = _section(doc.get("grid"), "grid")
+    time = _section(doc.get("time"), "time")
+    equation = _section(doc.get("equation"), "equation")
+    picard = _section(doc.get("picard"), "picard")
     cfg = SolveConfig(
         n=int(grid.get("n", 2)),
         m=int(grid.get("m", 32)),
@@ -149,9 +186,10 @@ def load_config(path) -> tuple:
         seed=int(picard.get("seed", 0)),
         zero_mode_policy=str(picard.get("zero_mode_policy", "zero_out")),
     )
-    nl = doc.get("nonlinearity", {})
+    nl = _section(doc.get("nonlinearity"), "nonlinearity")
     terms = []
-    for term in nl.get("terms", []):
+    for term in nl.get("terms") or []:
+        term = _section(term, "nonlinearity.terms[]", TERM_KEYS)
         beta = float(term.get("beta", 2.0 * cfg.s - 1.0))
         pattern = tuple(term.get("pattern", ["plain", "conjugate", "plain"]))
         coeff = term.get("coeff", 1.0)
@@ -160,7 +198,13 @@ def load_config(path) -> tuple:
         terms.append(NonlinearityTerm(beta=beta, pattern=pattern, coeff=complex(coeff)))
     spec = NonlinearitySpec(terms=tuple(terms)) if terms else default_nonlinearity(cfg.s)
     spec.validate(cfg.s)
-    extras = {"output": doc.get("output", {}), "initial_data": doc.get("initial_data", {})}
+    initial_data = _section(doc.get("initial_data"), "initial_data")
+    kind = initial_data.get("kind", "gaussian_spectrum")
+    if kind not in ("gaussian_spectrum", "file"):
+        raise ValueError(f"initial_data.kind must be gaussian_spectrum or file, not '{kind}'")
+    if kind == "file" and "path" not in initial_data:
+        raise ValueError("initial_data.kind 'file' needs initial_data.path")
+    extras = {"output": _section(doc.get("output"), "output"), "initial_data": initial_data}
     return cfg, spec, extras
 
 
@@ -282,8 +326,10 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
     """Iterate the Duhamel map from the free evolution until contraction.
 
     Convergence: successive-difference sup-in-time L2 below
-    tolerance * ||u0||_{L2}.  Divergence (ratio >= 1 three times in a row)
-    raises PicardDivergenceError carrying the partial result.
+    tolerance * ||u0||_{L2}.  Divergence (ratio >= 1 three times in a row,
+    or a non-finite iterate, checked before the F^sigma diagnostic) raises
+    PicardDivergenceError carrying the partial result; after an overflow its
+    trajectory is the last finite iterate.
     """
     spec.validate(config.s)
     g = u0.grid
@@ -300,10 +346,25 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
     converged = False
     iterations = 0
 
+    def diverged(message: str, it: int) -> PicardDivergenceError:
+        partial = SolveResult(
+            trajectory=current, converged=False, iterations=it,
+            diff_linf_l2=diffs, diff_fsigma=fdiffs, contraction_ratios=ratios,
+            duhamel_residual=float("nan"), apriori_ratio=float("nan"),
+            data_hdot=data_hdot, smallness_ok=smallness_ok,
+            config=config.describe())
+        return PicardDivergenceError(message, result=partial)
+
     for it in range(1, config.max_iterations + 1):
-        nxt = duhamel_map(current, u0, spec, config)
-        diff_traj = Trajectory(g, t0, config.dt, nxt.values - current.values)
-        d = diff_traj.linf_l2()
+        # An overflow anywhere in the step leaves inf or nan in the iterate or
+        # in its distance to the previous one; both are checked right below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = duhamel_map(current, u0, spec, config)
+            diff_traj = Trajectory(g, t0, config.dt, nxt.values - current.values)
+            d = diff_traj.linf_l2()
+        if not (np.isfinite(d) and np.all(np.isfinite(nxt.values))):
+            raise diverged(f"Picard iterate {it} is not finite (overflow); the last finite "
+                           f"iterate is {it - 1}", it)
         diffs.append(d)
         if fsigma_diffs:
             fdiffs.append(f_sigma_norm(diff_traj, config.sigma, config.s))
@@ -315,15 +376,8 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
             converged = True
             break
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-            partial = SolveResult(
-                trajectory=current, converged=False, iterations=it,
-                diff_linf_l2=diffs, diff_fsigma=fdiffs, contraction_ratios=ratios,
-                duhamel_residual=float("nan"), apriori_ratio=float("nan"),
-                data_hdot=data_hdot, smallness_ok=smallness_ok,
-                config=config.describe())
-            raise PicardDivergenceError(
-                f"Picard iteration diverging after {it} steps "
-                f"(last ratios {ratios[-3:]})", result=partial)
+            raise diverged(f"Picard iteration diverging after {it} steps "
+                           f"(last ratios {ratios[-3:]})", it)
 
     residual = residual_check(current, u0, spec, config)
     apriori = _linf_hdot_inner(current, config.sigma) / max(data_hdot, 1e-300)

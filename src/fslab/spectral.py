@@ -17,14 +17,21 @@ Grid.freq_1d / Grid.freq_norm) in centred order, zero mode in the middle.
 Internal spatial round trips (apply_spatial_multiplier, evolve_spectrum,
 duhamel_integral) stay in FFT-native order from end to end: only the
 grid-sized multiplier is shifted, never a (T, m^n) batch of frames.
+
+Symbols that depend only on the lattice (multipliers, modulation-weight
+tables, cone partitions) are memoized in one bounded cache, keyed by value
+and handed out read-only; see cached_symbol.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 from scipy.integrate import cumulative_simpson
 
 from .bumps import time_cutoff, window_weights
@@ -36,6 +43,7 @@ __all__ = [
     "Trajectory",
     "SpacetimeSpectrum",
     "make_grid",
+    "cached_symbol",
     "dft_forward",
     "dft_inverse",
     "fractional_symbol",
@@ -47,6 +55,7 @@ __all__ = [
     "free_evolution",
     "spacetime_dft",
     "spacetime_idft",
+    "offset_lattice",
     "modulation_offset",
     "hdot_norm",
     "duhamel_integral",
@@ -59,6 +68,69 @@ class ZeroModeError(ValueError):
 
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
+
+
+def _member_arrays(value):
+    """The ndarrays a cached value holds: itself, its tuple members, and the
+    data/index arrays of sparse members."""
+    for member in (value if isinstance(value, tuple) else (value,)):
+        if isinstance(member, np.ndarray):
+            yield member
+        elif scipy.sparse.issparse(member):
+            yield from (member.data, member.indices, member.indptr)
+
+
+class _SymbolCache:
+    """Least-recently-used store of read-only arrays under a byte budget.
+
+    A value is an array, a sparse matrix, or a tuple of them (other tuple
+    members are kept as they are).  A value larger than the whole budget is
+    returned uncached.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build):
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        value = build()
+        size = 0
+        for arr in _member_arrays(value):
+            arr.setflags(write=False)
+            size += arr.nbytes
+        if size > self.max_bytes:
+            return value
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (value, size)
+                self._bytes += size
+            while self._bytes > self.max_bytes:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
+        return value
+
+
+# Lattice symbols at desk sizes take well under a megabyte each; the budget
+# holds the tables of a few grids at once without growing with a long run.
+_SYMBOLS = _SymbolCache(max_bytes=64 * 2**20)
+
+
+def cached_symbol(key: tuple, build):
+    """build(), memoized under `key` in the one process-wide symbol cache.
+
+    The key must hold plain values (a Grid, numbers, strings, bytes), never
+    object identities, so equal inputs share an entry however they were
+    built.  Arrays in the result are read-only: a caller that needs to
+    write makes its own copy.
+    """
+    return _SYMBOLS.get(key, build)
 
 
 @dataclass(frozen=True)
@@ -210,8 +282,7 @@ class SpacetimeSpectrum:
 
     @property
     def taus(self) -> np.ndarray:
-        T = self.num_frames
-        return (2.0 * np.pi / (T * self.dt)) * np.arange(-T // 2, T // 2)
+        return _tau_lattice(self.num_frames, self.dt)
 
     def l2_spacetime(self) -> float:
         """Space-time L2 norm of the underlying trajectory, via Parseval."""
@@ -220,6 +291,11 @@ class SpacetimeSpectrum:
 
     def copy(self) -> "SpacetimeSpectrum":
         return SpacetimeSpectrum(self.grid, self.t0, self.dt, self.window, self.values.copy())
+
+
+def _tau_lattice(num_frames: int, dt: float) -> np.ndarray:
+    """Temporal frequencies (2pi/(T dt))*{-T/2..T/2-1}, centred order."""
+    return (2.0 * np.pi / (num_frames * dt)) * np.arange(-num_frames // 2, num_frames // 2)
 
 
 def make_grid(n: int, m: int, box_length: float) -> Grid:
@@ -249,9 +325,18 @@ def fractional_symbol(xi, beta: float) -> float:
 
 
 def fractional_multiplier(grid: Grid, beta: float, zero_mode_policy: str = "zero_out") -> np.ndarray:
-    """Lattice array |xi|^beta with the zero mode handled per policy."""
+    """Lattice array |xi|^beta with the zero mode set to 0 for beta < 0 (read-only, cached).
+
+    Both policies share the array; 'reject' is enforced by the callers,
+    which check the data's mean before applying it.
+    """
     if zero_mode_policy not in ("zero_out", "reject"):
         raise ValueError("zero_mode_policy must be 'zero_out' or 'reject'")
+    return cached_symbol(("fractional", grid, float(beta)),
+                         lambda: _fractional_values(grid, beta))
+
+
+def _fractional_values(grid: Grid, beta: float) -> np.ndarray:
     norm = grid.freq_norm
     zero = norm == 0.0
     if beta >= 0:
@@ -333,7 +418,7 @@ def spacetime_dft(u: Trajectory, window: str = "taper") -> SpacetimeSpectrum:
     spec = np.fft.fftshift(np.fft.fftn(vals, axes=spatial_axes), axes=spatial_axes) * g.dx**g.n
     # time axis uses the opposite kernel e^{+i tau t}; realized by ifft * T
     spec = np.fft.fftshift(np.fft.ifft(spec, axis=0), axes=0) * T * u.dt
-    taus = (2.0 * np.pi / (T * u.dt)) * np.arange(-T // 2, T // 2)
+    taus = _tau_lattice(T, u.dt)
     spec *= np.exp(1j * taus * u.t0).reshape((-1,) + (1,) * g.n)
     return SpacetimeSpectrum(g, u.t0, u.dt, window, spec)
 
@@ -350,11 +435,15 @@ def spacetime_idft(S: SpacetimeSpectrum) -> Trajectory:
     return Trajectory(g, S.t0, S.dt, vals)
 
 
+def offset_lattice(grid: Grid, num_frames: int, dt: float, s: float) -> np.ndarray:
+    """r(tau, xi) = tau + |xi|^{2s} on the lattice of a T-frame, step-dt spectrum."""
+    w2s = grid.freq_norm ** (2.0 * s)
+    return _tau_lattice(num_frames, dt).reshape((-1,) + (1,) * grid.n) + w2s[None, ...]
+
+
 def modulation_offset(S: SpacetimeSpectrum, s: float) -> np.ndarray:
     """Distance to the characteristic: r(xi,tau) = tau + |xi|^{2s}, shape of values."""
-    g = S.grid
-    w2s = g.freq_norm ** (2.0 * s)
-    return S.taus.reshape((-1,) + (1,) * g.n) + w2s[None, ...]
+    return offset_lattice(S.grid, S.num_frames, S.dt, s)
 
 
 def hdot_norm(f: Field, sigma: float) -> float:

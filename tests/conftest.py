@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fslab.spectral import Field, make_grid
 
@@ -32,3 +33,12 @@ def plane_wave(grid, mode):
     for axis, q in enumerate(mode):
         phase = phase + grid.freq_1d[grid.m // 2 + q] * mesh[axis]
     return Field(grid, np.exp(1j * phase))
+
+
+# Property tests draw the same examples on every run, so Tier-1 is
+# reproducible and its run time is bounded.  The norm kernels are slow per
+# example by design (each is compared with its direct oracle), hence no
+# per-example deadline.
+settings.register_profile("fslab", derandomize=True, deadline=None, max_examples=20,
+                          database=None, print_blob=False)
+settings.load_profile("fslab")

@@ -50,6 +50,44 @@ def test_solve_bad_config(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("section, body", [
+    ("picard", "picard: {tolerence: 1.0e-3}\n"),
+    ("grid", "grid: {n: 2, mm: 16}\n"),
+    ("top level", "picard: {}\nouptut: {directory: out}\n"),
+    ("nonlinearity.terms[]", "nonlinearity: {terms: [{beta: 0.5, coef: 1.0}]}\n"),
+])
+def test_solve_unknown_config_key(tmp_path, capsys, section, body):
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(body)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"in config section '{section}'" in err
+    assert not (tmp_path / "solve_report.json").exists()
+
+
+def test_solve_malformed_yaml(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("grid: {n: 2, m: 16\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+
+
+def test_solve_missing_initial_data_file(tmp_path, capsys):
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(f"initial_data: {{kind: file, path: {tmp_path / 'ghost.fslb'}}}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "initial data file not found" in capsys.readouterr().err
+
+
+def test_solve_overflow_exits_1(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(CFG.format(out=out).replace("epsilon: 0.01", "epsilon: 1000.0"))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["converged"] is False
+
+
 def test_verify_nprops_writes_report(tmp_path):
     out = tmp_path / "reports"
     rc = main(["verify", "nprops", "--s", "0.75", "--k", "6",

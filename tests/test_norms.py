@@ -307,3 +307,11 @@ class TestVerifyEstimate:
         assert family.margin < 0.5
         rep = verify_estimate("linfty_l2", family, draws=1)
         assert np.isfinite(rep.cstar)
+
+    @pytest.mark.parametrize("kind", ["embedding", "smoothing", "homogeneous"])
+    def test_four_dimensional_families(self, kind):
+        # the dimension the source theorems assume; linfty_l2 is the test above
+        # and maximal (box sums) is still too slow at n = 4 for Tier-1
+        family = InputFamily(n=4, m=8, num_frames=32, shells=(1, 2))
+        rep = verify_estimate(kind, family, draws=1)
+        assert np.isfinite(rep.cstar)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,20 @@ class TestPicard:
             picard_solve(u0, default_nonlinearity(cfg.s), cfg, fsigma_diffs=False)
         assert exc.value.result is not None
         assert not exc.value.result.converged
+
+    def test_overflow_raises_before_any_warning(self):
+        # the iterates grow like 1e7, 1e20, 1e60, 1e180: the fourth one's
+        # distance overflows, so it is rejected before the F^sigma diagnostic
+        cfg = SolveConfig(n=2, m=16, s=0.75, num_frames=32, epsilon=1000.0)
+        u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardDivergenceError, match="iterate 4 is not finite") as exc:
+                picard_solve(u0, default_nonlinearity(cfg.s), cfg)
+        partial = exc.value.result
+        assert partial.iterations == 4
+        assert len(partial.diff_linf_l2) == len(partial.diff_fsigma) == 3
+        assert np.all(np.isfinite(partial.trajectory.values))
 
     def test_gauge_covariance(self, config, small_data):
         spec = default_nonlinearity(config.s)
