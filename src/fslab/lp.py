@@ -39,6 +39,7 @@ __all__ = [
     "build_cone_atlas",
     "cone_cutoff_values",
     "project",
+    "box_lattice",
     "box_centers",
     "dyadic_shell",
     "modulation_shell",
@@ -280,12 +281,22 @@ def project(X, spec: ProjectionSpec):
     raise TypeError("project expects a Field (frequency side) or SpacetimeSpectrum")
 
 
-def box_centers(grid: Grid, k: int) -> list:
-    """Box lattice 2^k Z^n restricted to centers whose chi-box meets the grid."""
+def box_lattice(grid: Grid, k: int) -> tuple:
+    """Per-axis box centres and their chi table, (axis_vals, table).
+
+    axis_vals = 2^k * {-lmax..lmax} holds every centre whose chi-box meets the
+    grid; table[i] = chi((xi - axis_vals[i]) / 2^k) on the centred axis.
+    """
     scale = 2.0**k
     ximax = float(np.max(np.abs(grid.freq_1d)))
     lmax = int(np.floor((ximax + scale * 2.0 / 3.0) / scale))
     axis_vals = scale * np.arange(-lmax, lmax + 1)
+    return axis_vals, bumps.chi_box((grid.freq_1d[None, :] - axis_vals[:, None]) / scale)
+
+
+def box_centers(grid: Grid, k: int) -> list:
+    """Box lattice 2^k Z^n restricted to centers whose chi-box meets the grid."""
+    axis_vals, _ = box_lattice(grid, k)
     grids = np.meshgrid(*([axis_vals] * grid.n), indexing="ij")
     return [tuple(float(g[idx]) for g in grids) for idx in np.ndindex(grids[0].shape)]
 

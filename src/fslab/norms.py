@@ -9,14 +9,15 @@ The kernels do no repeated symbol work.  X_k reads the spectrum S only
 through |S|^2: every ||Q_j f||^2 is one reduction of |S|^2 against the
 cached modulation-weight table (lp.modulation_weights).  Y_k^e needs only
 an inverse FFT along e, by discrete Parseval over (x_perp, t).  Cone,
-shell and Schroedinger symbols come from the one symbol cache.
+shell and Schroedinger symbols come from the one symbol cache; box sums
+apply each box symbol with apply_spatial_multiplier.
 
 verify_estimate draws seeded random input families and reports the worst
 LHS/RHS ratio for each inequality, with a stability flag under doubling the
 family.
 
 Caveat recorded in every report: the estimates are checked as inequality
-shapes at desk scale n in {2, 3}; the theorems they come from assume n >= 4.
+shapes at the family's n; the theorems they come from assume n >= 4.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from . import bumps
 from .lp import (
     ConeAtlas,
+    box_lattice,
     cone_cutoff_values,
     dyadic_shell,
     max_modulation_index,
@@ -50,7 +52,6 @@ from .spectral import (
     modulation_offset,
     offset_lattice,
     spacetime_dft,
-    spacetime_idft,
 )
 
 __all__ = [
@@ -65,11 +66,11 @@ __all__ = [
     "InputFamily",
     "verify_estimate",
     "ESTIMATE_KINDS",
-    "DIMENSION_CAVEAT",
+    "dimension_caveat",
 ]
 
-DIMENSION_CAVEAT = ("inequality shapes checked at n in {2,3}; "
-                    "the source theorems assume n >= 4")
+def dimension_caveat(n: int) -> str:
+    return f"inequality shapes checked at n = {n}; the source theorems assume n >= 4"
 
 SUPPORT_TOL = 1e-8
 
@@ -376,7 +377,6 @@ class InputFamily:
     t_half: float = 1.0
     shells: tuple = (1, 2, 3)
     margin: float | None = None
-    taper_fraction: float = 0.1
 
     def __post_init__(self):
         if self.margin is None:
@@ -423,7 +423,7 @@ class InputFamily:
         """Frames ifft( e^{i t omega(xi)} spec0 ), tapered in time."""
         g = self.grid
         frames = evolve_spectrum(spec0, g, self.times, omega)
-        w = bumps.window_weights(self.times, self.taper_fraction)
+        w = bumps.window_weights(self.times)
         return Trajectory(g, self.t0, self.dt, frames * w.reshape((-1,) + (1,) * g.n))
 
     def static(self, rng, k: int) -> Trajectory:
@@ -548,17 +548,11 @@ def _box_l2_linf_sum(traj: Trajectory, k1: int, axis: int, k: int | None = None)
     Boxes whose chi support cannot meet the dyadic shell of the data (when k
     is given) are pruned before any multiplier is built.
     """
-    S = spacetime_dft(traj, window="none")
     g = traj.grid
     total = 0.0
     spec = MixedNormSpec(e_axis=axis, p=2, q=np.inf)
-    scale = 2.0**k1
-    ximax = float(np.max(np.abs(g.freq_1d)))
-    lmax = int(np.floor((ximax + scale * 2.0 / 3.0) / scale))
-    axis_vals = scale * np.arange(-lmax, lmax + 1)
-    # chi((xi - l)/2^{k1}) per axis for every center value at once
-    table = bumps.chi_box((g.freq_1d[None, :] - axis_vals[:, None]) / scale)
-    box_radius = (2.0 / 3.0) * scale * np.sqrt(g.n)
+    axis_vals, table = box_lattice(g, k1)
+    box_radius = (2.0 / 3.0) * 2.0**k1 * np.sqrt(g.n)
     for idx in np.ndindex(*([axis_vals.size] * g.n)):
         center = axis_vals[list(idx)]
         if k is not None:
@@ -571,8 +565,7 @@ def _box_l2_linf_sum(traj: Trajectory, k1: int, axis: int, k: int | None = None)
             mult = np.multiply.outer(mult, r)
         if not np.any(mult):
             continue
-        piece_vals = mult[None, ...] * S.values
-        piece = spacetime_idft(SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, piece_vals))
+        piece = Trajectory(g, traj.t0, traj.dt, apply_spatial_multiplier(traj.values, g, mult))
         total += mixed_norm(piece, spec) ** 2
     return float(np.sqrt(total))
 
@@ -820,6 +813,6 @@ def verify_estimate(kind: str, family: InputFamily | None = None, *, s: float = 
     report.items["worst_ratio"] = {"min": float(valid_all.min()), "max": cstar_full,
                                    "cstar": cstar_full}
     report.params["cstar_first_half"] = cstar_half
-    report.notes.append(DIMENSION_CAVEAT)
+    report.notes.append(dimension_caveat(family.n))
     report.notes.append("Z_k values are the two-branch upper bound (surrogate)")
     return report

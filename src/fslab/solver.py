@@ -6,8 +6,10 @@ D^{beta_i} u_{i,3} is solved on the window [-t_half, t_half] by iterating
     T v(t) = e^{i t D^{2s}} u0 - i psi(t) int_0^t e^{i (t - t') D^{2s}} F(v)(t') dt'
 
 from the free evolution, with the time integral on the frame lattice and
-spectral derivatives.  Smallness of the data is measured in the lattice
-homogeneous Sobolev norm of order (n - 2s)/2 with the zero mode excluded.
+spectral derivatives.  picard_solve builds the free term e^{i t D^{2s}} u0
+once per solve; the public duhamel_map builds its own.  Smallness of the
+data is measured in the lattice homogeneous Sobolev norm of order
+(n - 2s)/2 with the zero mode excluded.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .spectral import (
     Grid,
     Trajectory,
     apply_spatial_multiplier,
+    check_zero_mode,
     dft_inverse,
     duhamel_integral,
     fractional_multiplier,
@@ -233,12 +236,7 @@ def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm,
     f3 = conj[term.pattern[2]](vals)
 
     def mult(arr, beta):
-        if beta < 0 and policy == "reject":
-            # zero mode sits at index 0 of the FFT-native spectrum
-            spec = np.fft.fftn(arr, axes=tuple(range(1, grid.n + 1)))
-            zero_idx = (slice(None),) + (0,) * grid.n
-            if np.max(np.abs(spec[zero_idx])) > 1e-13 * max(np.max(np.abs(spec)), 1e-300):
-                raise ValueError("nonlinearity product has nonzero mean under reject policy")
+        check_zero_mode(arr, grid, beta, policy)
         return apply_spatial_multiplier(arr, grid, fractional_multiplier(grid, beta, policy))
 
     inner = mult(f1 * f2, -term.beta)
@@ -265,7 +263,13 @@ def _nonlinearity_values(vals: np.ndarray, grid: Grid, spec: NonlinearitySpec,
 def duhamel_map(v: Trajectory, u0: Field, spec: NonlinearitySpec,
                 config: SolveConfig) -> Trajectory:
     """T v = free evolution of u0 plus the windowed Duhamel correction."""
-    free = free_evolution(u0, v.t0, v.dt, v.num_frames, config.s)
+    return _duhamel_step(v, free_evolution(u0, v.t0, v.dt, v.num_frames, config.s),
+                         spec, config)
+
+
+def _duhamel_step(v: Trajectory, free: Trajectory, spec: NonlinearitySpec,
+                  config: SolveConfig) -> Trajectory:
+    """T v given `free`, the free evolution of the data on v's frame lattice."""
     if not spec.terms:
         return free
     forcing = Trajectory(v.grid, v.t0, v.dt,
@@ -340,7 +344,8 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
                       f"{config.epsilon:.3e}", stacklevel=2)
 
     t0 = -config.t_half
-    current = free_evolution(u0, t0, config.dt, config.num_frames, config.s)
+    free = free_evolution(u0, t0, config.dt, config.num_frames, config.s)
+    current = free
     ref = max(u0.l2_norm(), 1e-300)
     diffs, fdiffs, ratios = [], [], []
     converged = False
@@ -359,7 +364,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
         # An overflow anywhere in the step leaves inf or nan in the iterate or
         # in its distance to the previous one; both are checked right below.
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = duhamel_map(current, u0, spec, config)
+            nxt = _duhamel_step(current, free, spec, config)
             diff_traj = Trajectory(g, t0, config.dt, nxt.values - current.values)
             d = diff_traj.linf_l2()
         if not (np.isfinite(d) and np.all(np.isfinite(nxt.values))):
@@ -379,7 +384,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
             raise diverged(f"Picard iteration diverging after {it} steps "
                            f"(last ratios {ratios[-3:]})", it)
 
-    residual = residual_check(current, u0, spec, config)
+    residual = _linf_l2_inner(current, _duhamel_step(current, free, spec, config)) / ref
     apriori = _linf_hdot_inner(current, config.sigma) / max(data_hdot, 1e-300)
     return SolveResult(
         trajectory=current, converged=converged, iterations=iterations,

@@ -18,6 +18,10 @@ Internal spatial round trips (apply_spatial_multiplier, evolve_spectrum,
 duhamel_integral) stay in FFT-native order from end to end: only the
 grid-sized multiplier is shifted, never a (T, m^n) batch of frames.
 
+Every time-independent spatial multiplier is applied by
+apply_spatial_multiplier, to a field or to all frames at once; the 'reject'
+zero-mode policy is check_zero_mode.
+
 Symbols that depend only on the lattice (multipliers, modulation-weight
 tables, cone partitions) are memoized in one bounded cache, keyed by value
 and handed out read-only; see cached_symbol.
@@ -32,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .bumps import time_cutoff, window_weights
 
@@ -48,6 +52,7 @@ __all__ = [
     "dft_inverse",
     "fractional_symbol",
     "fractional_multiplier",
+    "check_zero_mode",
     "apply_fractional",
     "linear_propagate",
     "apply_spatial_multiplier",
@@ -214,9 +219,6 @@ class Field:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx**self.grid.n))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 @dataclass
 class Trajectory:
@@ -244,9 +246,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.num_frames)
 
-    def frame(self, i: int) -> Field:
-        return Field(self.grid, self.values[i])
-
     def l2_norms(self) -> np.ndarray:
         """Spatial L2 norm per frame."""
         axes = tuple(range(1, self.grid.n + 1))
@@ -257,9 +256,6 @@ class Trajectory:
 
     def l2_spacetime(self) -> float:
         return float(np.sqrt(np.sum(self.l2_norms() ** 2) * self.dt))
-
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.grid, self.t0, self.dt, self.values.copy())
 
 
 @dataclass
@@ -288,9 +284,6 @@ class SpacetimeSpectrum:
         """Space-time L2 norm of the underlying trajectory, via Parseval."""
         c = self.grid.box_length**self.grid.n * self.num_frames * self.dt
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / c))
-
-    def copy(self) -> "SpacetimeSpectrum":
-        return SpacetimeSpectrum(self.grid, self.t0, self.dt, self.window, self.values.copy())
 
 
 def _tau_lattice(num_frames: int, dt: float) -> np.ndarray:
@@ -327,8 +320,8 @@ def fractional_symbol(xi, beta: float) -> float:
 def fractional_multiplier(grid: Grid, beta: float, zero_mode_policy: str = "zero_out") -> np.ndarray:
     """Lattice array |xi|^beta with the zero mode set to 0 for beta < 0 (read-only, cached).
 
-    Both policies share the array; 'reject' is enforced by the callers,
-    which check the data's mean before applying it.
+    Both policies share the array; 'reject' is enforced on the data by
+    check_zero_mode before the array is applied.
     """
     if zero_mode_policy not in ("zero_out", "reject"):
         raise ValueError("zero_mode_policy must be 'zero_out' or 'reject'")
@@ -346,25 +339,35 @@ def _fractional_values(grid: Grid, beta: float) -> np.ndarray:
     return mult
 
 
+def check_zero_mode(values: np.ndarray, grid: Grid, beta: float, zero_mode_policy: str) -> None:
+    """Under 'reject', raise ZeroModeError if D^beta (beta < 0) meets a nonzero mean.
+
+    Each field's zero mode (sum over the trailing n axes) is compared with
+    1e-13 times its spectral l2 norm, sqrt(m^n) ||f||_2 by Parseval.
+    """
+    if beta >= 0 or zero_mode_policy != "reject":
+        return
+    axes = tuple(range(values.ndim - grid.n, values.ndim))
+    mean = np.abs(np.sum(values, axis=axes))
+    total = np.sqrt(grid.npoints * np.sum(np.abs(values) ** 2, axis=axes))
+    if np.any(mean > 1e-13 * total):
+        raise ZeroModeError(f"D^{beta:g} on data with nonzero mean "
+                            f"(|mean| = {np.max(mean) / grid.npoints:.3e}) under 'reject'")
+
+
 def apply_fractional(f: Field, beta: float, zero_mode_policy: str = "zero_out") -> Field:
     """Fourier multiplier D^beta = |nabla|^beta on a field."""
-    spec = dft_forward(f)
-    if beta < 0 and zero_mode_policy == "reject":
-        zero_idx = tuple([f.grid.m // 2] * f.grid.n)
-        total = np.linalg.norm(spec.values)
-        if total > 0 and abs(spec.values[zero_idx]) > 1e-13 * total:
-            raise ZeroModeError("negative-order multiplier on a field with nonzero mean")
+    check_zero_mode(f.values, f.grid, beta, zero_mode_policy)
     mult = fractional_multiplier(f.grid, beta, zero_mode_policy)
-    return dft_inverse(Field(f.grid, mult * spec.values))
+    return Field(f.grid, apply_spatial_multiplier(f.values, f.grid, mult))
 
 
 def linear_propagate(f: Field, t: float, s: float) -> Field:
     """Free propagator e^{i t D^{2s}}: each mode times e^{i t |xi|^{2s}}."""
     if not (0.5 < s <= 1.0):
         raise ValueError("order s must lie in (1/2, 1]")
-    spec = dft_forward(f)
     phase = np.exp(1j * t * f.grid.freq_norm ** (2.0 * s))
-    return dft_inverse(Field(f.grid, phase * spec.values))
+    return Field(f.grid, apply_spatial_multiplier(f.values, f.grid, phase))
 
 
 def apply_spatial_multiplier(values: np.ndarray, grid: Grid, mult: np.ndarray) -> np.ndarray:
@@ -402,9 +405,7 @@ def _window_array(u: Trajectory, window: str) -> np.ndarray:
     if window == "none":
         return np.ones(u.num_frames)
     if window == "taper":
-        return window_weights(u.times, fraction=0.1)
-    if window.startswith("taper:"):
-        return window_weights(u.times, fraction=float(window.split(":", 1)[1]))
+        return window_weights(u.times)
     raise ValueError(f"unknown window '{window}'")
 
 
@@ -457,31 +458,13 @@ def hdot_norm(f: Field, sigma: float) -> float:
     return float(np.sqrt(np.sum(weight * np.abs(spec) ** 2) / g.box_length**g.n))
 
 
-def _cumulative_trapezoid_from(values: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0 starting from index 0."""
-    out = np.zeros_like(values)
-    if values.shape[0] > 1:
-        steps = 0.5 * dt * (values[1:] + values[:-1])
-        out[1:] = np.cumsum(steps, axis=0)
-    return out
-
-
-def _cumulative_simpson_from(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    if values.shape[0] > 1:
-        re = cumulative_simpson(values.real, dx=dt, axis=0, initial=0.0)
-        im = cumulative_simpson(values.imag, dx=dt, axis=0, initial=0.0)
-        out[:] = re + 1j * im
-    return out
-
-
 def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> Trajectory:
     """Windowed Duhamel term -i psi(t) int_0^t e^{i(t-t')D^{2s}} F(t') dt'.
 
     The integral runs along the frame lattice (signed for t < 0) in the
-    interaction picture: W(t') = e^{-i t' D^{2s}} F(t') is accumulated by the
-    chosen quadrature rule and propagated forward once per frame.  t = 0 must
-    be a frame time.  Works in FFT-native order from end to end.
+    interaction picture: W(t') = e^{-i t' D^{2s}} F(t') is accumulated by
+    scipy's cumulative rule on the complex array and propagated forward once
+    per frame.  t = 0 must be a frame time.  Works in FFT-native order.
     """
     if rule not in ("trapezoid", "simpson"):
         raise ValueError("quadrature rule must be 'trapezoid' or 'simpson'")
@@ -497,12 +480,11 @@ def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> 
     tshape = (-1,) + (1,) * g.n
     W = np.exp(-1j * times.reshape(tshape) * w2s[None, ...]) * spec
 
-    accumulate = _cumulative_trapezoid_from if rule == "trapezoid" else _cumulative_simpson_from
+    accumulate = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
     H = np.zeros_like(W)
-    H[i0:] = accumulate(W[i0:], forcing.dt)
+    H[i0:] = accumulate(W[i0:], dx=forcing.dt, axis=0, initial=0)
     if i0 > 0:
-        back = accumulate(W[i0::-1], forcing.dt)
-        H[: i0 + 1] = -back[::-1]
+        H[: i0 + 1] = -accumulate(W[i0::-1], dx=forcing.dt, axis=0, initial=0)[::-1]
 
     psi = time_cutoff(times)
     out = -1j * psi.reshape(tshape) * np.exp(1j * times.reshape(tshape) * w2s[None, ...]) * H

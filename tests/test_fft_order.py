@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 import fslab
 from fslab.bumps import time_cutoff
@@ -22,8 +23,8 @@ from fslab.solver import (
 from fslab.spectral import (
     Field,
     Trajectory,
-    _cumulative_simpson_from,
-    _cumulative_trapezoid_from,
+    ZeroModeError,
+    apply_fractional,
     apply_spatial_multiplier,
     dft_forward,
     duhamel_integral,
@@ -35,7 +36,26 @@ from fslab.spectral import (
 
 
 # ---------------------------------------------------------------------------
-# oracles: the centred-order sequences as first written
+# oracles: the centred-order sequences as first written, and the quadrature
+# helpers duhamel_integral used before it called scipy on the complex array
+
+def _cumulative_trapezoid_from(values: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid along axis 0 starting from index 0."""
+    out = np.zeros_like(values)
+    if values.shape[0] > 1:
+        steps = 0.5 * dt * (values[1:] + values[:-1])
+        out[1:] = np.cumsum(steps, axis=0)
+    return out
+
+
+def _cumulative_simpson_from(values: np.ndarray, dt: float) -> np.ndarray:
+    out = np.zeros_like(values)
+    if values.shape[0] > 1:
+        re = cumulative_simpson(values.real, dx=dt, axis=0, initial=0.0)
+        im = cumulative_simpson(values.imag, dx=dt, axis=0, initial=0.0)
+        out[:] = re + 1j * im
+    return out
+
 
 def oracle_spatial_multiplier(values, grid, mult):
     axes = tuple(range(values.ndim - grid.n, values.ndim))
@@ -141,6 +161,20 @@ def test_duhamel_integral_matches_oracle(grid, rule):
     assert np.array_equal(out.values, oracle_duhamel(forcing, 0.75, rule))
 
 
+@pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("frames, t0", [(1, 0.0), (8, -0.4375), (8, 0.0), (16, -0.9375)],
+                         ids=["single", "last", "first", "last16"])
+def test_duhamel_integral_edge_frames_match_oracle(rule, frames, t0):
+    # t = 0 on the first or the last frame leaves a one-frame integral on
+    # one side, which must contribute zeros as the oracle's length guard did
+    grid = GRIDS[1]
+    forcing = Trajectory(grid, t0, 0.0625, _values(grid, np.random.default_rng(6), frames))
+    out = duhamel_integral(forcing, 0.75, rule=rule)
+    assert np.array_equal(out.values, oracle_duhamel(forcing, 0.75, rule))
+    i0 = int(np.argmin(np.abs(forcing.times)))
+    assert not np.any(out.values[i0])
+
+
 @pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"n{g.n}")
 def test_nonlinearity_matches_oracle(grid):
     u = Field(grid, _values(grid, np.random.default_rng(5), 0))
@@ -159,3 +193,24 @@ def test_fft_shifts_only_in_spectral_module():
                  for lineno, line in enumerate(path.read_text().splitlines(), 1)
                  if re.search(r"\bi?fftshift\b", line)]
     assert offenders == [], f"FFT order is decided in spectral.py only: {offenders}"
+
+
+@pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"n{g.n}")
+def test_one_reject_check_for_fractional_and_nonlinearity(grid):
+    rng = np.random.default_rng(7)
+    u = Field(grid, _values(grid, rng, 0) + 0.5)
+    spec = default_nonlinearity(0.75)
+    with pytest.raises(ZeroModeError, match="nonzero mean"):
+        apply_fractional(u, -0.5, zero_mode_policy="reject")
+    with pytest.raises(ZeroModeError, match="nonzero mean"):
+        apply_nonlinearity(u, spec, 0.75, zero_mode_policy="reject")
+    # zero_out keeps both on the oracles, bit for bit
+    mult = fractional_multiplier(grid, -0.5)
+    assert np.array_equal(apply_fractional(u, -0.5).values,
+                          oracle_spatial_multiplier(u.values, grid, mult))
+    assert np.array_equal(apply_nonlinearity(u, spec, 0.75).values,
+                          oracle_nonlinearity(u, spec))
+    # data with zero mean passes the reject check unchanged
+    mean_zero = Field(grid, u.values - u.values.mean())
+    assert np.array_equal(apply_fractional(mean_zero, -0.5, zero_mode_policy="reject").values,
+                          apply_fractional(mean_zero, -0.5).values)

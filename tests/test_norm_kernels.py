@@ -2,8 +2,9 @@
 
 The oracles below are the direct implementations the fast kernels replaced:
 X_k rebuilds every modulation shell Q_j over the whole (tau, xi) array,
-Y_k^e inverts the full (n+1)-D transform before taking L^1_e L^2, and the
-cone multiplier rebuilds the whole partition to return one row.  Every fast
+Y_k^e inverts the full (n+1)-D transform before taking L^1_e L^2, the
+cone multiplier rebuilds the whole partition to return one row, and the
+maximal box sum takes every box through a space-time round trip.  Every fast
 path must agree with them to 1e-12 relative, including on the inf returned
 when the support gates fail.
 """
@@ -26,6 +27,7 @@ from fslab.norms import (
     InputFamily,
     MixedNormSpec,
     _axis_from_direction,
+    _box_l2_linf_sum,
     _lateral_l2_profile,
     _xk_from_spectrum,
     _yk_from_spectrum,
@@ -40,6 +42,7 @@ from fslab.norms import (
 from fslab.spectral import (
     Grid,
     SpacetimeSpectrum,
+    Trajectory,
     fractional_multiplier,
     modulation_offset,
     spacetime_dft,
@@ -170,6 +173,35 @@ def oracle_nsigma(F, sigma, s, atlas, window):
                                   sigma, s, atlas)
 
 
+def oracle_box_sum(traj, k1, axis, k=None):
+    S = spacetime_dft(traj, window="none")
+    g = traj.grid
+    total = 0.0
+    spec = MixedNormSpec(e_axis=axis, p=2, q=np.inf)
+    scale = 2.0**k1
+    ximax = float(np.max(np.abs(g.freq_1d)))
+    lmax = int(np.floor((ximax + scale * 2.0 / 3.0) / scale))
+    axis_vals = scale * np.arange(-lmax, lmax + 1)
+    table = bumps.chi_box((g.freq_1d[None, :] - axis_vals[:, None]) / scale)
+    box_radius = (2.0 / 3.0) * scale * np.sqrt(g.n)
+    for idx in np.ndindex(*([axis_vals.size] * g.n)):
+        center = axis_vals[list(idx)]
+        if k is not None:
+            cnorm = float(np.linalg.norm(center))
+            if cnorm < 2.0 ** (k - 1) - box_radius or cnorm > 2.0 ** (k + 1) + box_radius:
+                continue
+        rows = [table[idx[a]] for a in range(g.n)]
+        mult = rows[0]
+        for r in rows[1:]:
+            mult = np.multiply.outer(mult, r)
+        if not np.any(mult):
+            continue
+        piece_vals = mult[None, ...] * S.values
+        piece = spacetime_idft(SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, piece_vals))
+        total += mixed_norm(piece, spec) ** 2
+    return float(np.sqrt(total))
+
+
 def assert_close(fast, oracle):
     if np.isinf(oracle):
         assert fast == oracle
@@ -262,6 +294,24 @@ def test_fsigma_and_nsigma_match_oracle(n, m, T, s, seed, cone):
                  oracle_fsigma_spectrum(spacetime_dft(traj, window="taper"), sigma, s, atlas))
     assert_close(n_sigma_norm(traj, sigma, s, window="none"),
                  oracle_nsigma(traj, sigma, s, atlas, "none"))
+
+
+@pytest.mark.parametrize("n, m, shells", [(2, 16, (1, 2, 3)), (3, 8, (1, 2))])
+@pytest.mark.parametrize("dk1", [-2, 0])
+@pytest.mark.parametrize("conj", [False, True], ids=["f", "conj_f"])
+def test_box_sum_matches_space_time_oracle(n, m, shells, dk1, conj):
+    """The maximal kind's box sums on the criterion-09 families, every axis."""
+    fam = InputFamily(n=n, m=m, num_frames=32, shells=shells)
+    for index in range(2):  # a free and a modulated draw, on shells 1 and 2
+        traj, k, _ = fam.draw(index, 0.75, seed=11)
+        if conj:
+            traj = Trajectory(traj.grid, traj.t0, traj.dt, np.conj(traj.values))
+        for axis in range(n):
+            assert_close(_box_l2_linf_sum(traj, k + dk1, axis, k=k),
+                         oracle_box_sum(traj, k + dk1, axis, k=k))
+    if dk1 == 0:
+        # no shell given: every box that meets the lattice, none pruned
+        assert_close(_box_l2_linf_sum(traj, k, 0), oracle_box_sum(traj, k, 0))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -301,6 +301,12 @@ class TestVerifyEstimate:
         rep = verify_estimate("linfty_l2", draws=4, seed=0)
         assert any("n >= 4" in note for note in rep.notes)
 
+    def test_dimension_caveat_names_the_family_dimension(self):
+        family = InputFamily(n=4, m=8, shells=(1, 2))
+        rep = verify_estimate("linfty_l2", family, draws=1)
+        caveats = [note for note in rep.notes if "n >= 4" in note]
+        assert caveats and all("{2,3}" not in note and "n = 4" in note for note in caveats)
+
     def test_default_margin_valid_in_four_dimensions(self):
         # 0.5 is not below 1/sqrt(4) - 0.01; the default must derive from n
         family = InputFamily(n=4, m=8, shells=(1, 2))

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fslab.solver
 from fslab.solver import (
     DependenceProbe,
     NonlinearitySpec,
@@ -152,6 +153,30 @@ class TestPicard:
         assert all(r < 0.5 for r in res.contraction_ratios)
         assert res.duhamel_residual < 10 * config.tolerance
         assert np.isfinite(res.apriori_ratio)
+
+    def test_free_evolution_built_once_and_loop_matches_duhamel_map(self, monkeypatch):
+        cfg = SolveConfig(n=2, m=16, s=0.75, num_frames=32, epsilon=0.7, tolerance=1e-12,
+                          max_iterations=40, quadrature="simpson")
+        u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, 0.6, seed=2)
+        spec = default_nonlinearity(cfg.s)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return free_evolution(*args, **kwargs)
+
+        monkeypatch.setattr(fslab.solver, "free_evolution", counted)
+        res = picard_solve(u0, spec, cfg, fsigma_diffs=False)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert res.iterations > 5
+        # the same iteration spelled with the public map, which rebuilds the
+        # free evolution on every call, gives the same bits
+        current = free_evolution(u0, -cfg.t_half, cfg.dt, cfg.num_frames, cfg.s)
+        for _ in range(res.iterations):
+            current = duhamel_map(current, u0, spec, cfg)
+        assert np.array_equal(res.trajectory.values, current.values)
+        assert res.duhamel_residual == residual_check(current, u0, spec, cfg)
 
     def test_log_linear_contraction_tail(self):
         # larger data gives a visible geometric tail before hitting tolerance
