@@ -32,6 +32,7 @@ from .spectral import (
     fractional_multiplier,
     free_evolution,
     hdot_norm,
+    hdot_norms,
 )
 
 __all__ = [
@@ -321,8 +322,7 @@ def _linf_l2_inner(u: Trajectory, v: Trajectory | None = None) -> float:
 
 def _linf_hdot_inner(u: Trajectory, sigma: float) -> float:
     mask = _inner_window_mask(u.times)
-    return float(max(hdot_norm(Field(u.grid, u.values[i]), sigma)
-                     for i in np.nonzero(mask)[0]))
+    return float(np.max(hdot_norms(u.values[mask], u.grid, sigma)))
 
 
 def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,

@@ -12,8 +12,9 @@ modulation projections are built on.  With these normalizations Parseval
 reads ||f||_{L2}^2 = sum |Ff|^2 / L^n (plus a 1/(T dt) factor in time).
 
 FFT order is decided in this module only.  Spectra cross the public boundary
-(dft_forward, dft_inverse, SpacetimeSpectrum, and every multiplier built from
-Grid.freq_1d / Grid.freq_norm) in centred order, zero mode in the middle.
+(dft_forward, dft_inverse, spatial_spectrum, idft_phases, SpacetimeSpectrum,
+and every multiplier built from Grid.freq_1d / Grid.freq_norm) in centred
+order, zero mode in the middle.
 Internal spatial round trips (apply_spatial_multiplier, evolve_spectrum,
 duhamel_integral) stay in FFT-native order from end to end: only the
 grid-sized multiplier is shifted, never a (T, m^n) batch of frames.
@@ -48,6 +49,8 @@ __all__ = [
     "SpacetimeSpectrum",
     "make_grid",
     "cached_symbol",
+    "spatial_spectrum",
+    "idft_phases",
     "dft_forward",
     "dft_inverse",
     "fractional_symbol",
@@ -63,6 +66,7 @@ __all__ = [
     "offset_lattice",
     "modulation_offset",
     "hdot_norm",
+    "hdot_norms",
     "duhamel_integral",
 ]
 
@@ -295,11 +299,35 @@ def make_grid(n: int, m: int, box_length: float) -> Grid:
     return Grid(n=int(n), m=int(m), box_length=float(box_length))
 
 
+def spatial_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Unscaled transform sum_x e^{-i xi.x} f(x) over the trailing n axes, centred order.
+
+    One call transforms every frame of a trajectory; dft_forward is this
+    times dx^n on a single field.
+    """
+    axes = tuple(range(values.ndim - grid.n, values.ndim))
+    return np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+
+
+def idft_phases(grid: Grid) -> np.ndarray:
+    """(m, m) matrix E[p, j] = e^{i xi_j x_p} / m, xi_j in centred order (read-only, cached).
+
+    Contracting a centred spectrum with E along every spatial axis is the
+    unscaled inverse transform (np.fft.ifftn); contracting with a block of
+    columns evaluates it from the spectrum on that block alone.
+    """
+    def build():
+        m = grid.m
+        # the phase index (j - m/2) p mod m is exact in integers
+        turns = (np.outer(np.arange(m), np.arange(m) - m // 2) % m) / m
+        return np.exp(2j * np.pi * turns) / m
+    return cached_symbol(("idft_phases", grid.m), build)
+
+
 def dft_forward(f: Field) -> Field:
     """Forward transform with kernel e^{-i xi.x} dx^n, centered output."""
     g = f.grid
-    spec = np.fft.fftshift(np.fft.fftn(f.values)) * g.dx**g.n
-    return Field(g, spec)
+    return Field(g, spatial_spectrum(f.values, g) * g.dx**g.n)
 
 
 def dft_inverse(F: Field) -> Field:
@@ -447,15 +475,29 @@ def modulation_offset(S: SpacetimeSpectrum, s: float) -> np.ndarray:
     return offset_lattice(S.grid, S.num_frames, S.dt, s)
 
 
+def _hdot_weight(grid: Grid, sigma: float) -> np.ndarray:
+    """|xi|^{2 sigma} with the zero mode set to 0, FFT-native order (read-only, cached)."""
+    def build():
+        norm = grid.freq_norm
+        nz = norm > 0
+        weight = np.zeros_like(norm)
+        weight[nz] = norm[nz] ** (2.0 * sigma)
+        return np.fft.ifftshift(weight)
+    return cached_symbol(("hdot_weight", grid, float(sigma)), build)
+
+
+def hdot_norms(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """hdot_norm of every field over the trailing n axes, from one transform."""
+    axes = tuple(range(values.ndim - grid.n, values.ndim))
+    spec = np.fft.fftn(values, axes=axes)
+    power = spec.real**2 + spec.imag**2
+    scale = grid.dx ** (2 * grid.n) / grid.box_length**grid.n
+    return np.sqrt(np.sum(_hdot_weight(grid, sigma) * power, axis=axes) * scale)
+
+
 def hdot_norm(f: Field, sigma: float) -> float:
     """Lattice homogeneous Sobolev seminorm; the zero mode is excluded."""
-    g = f.grid
-    spec = dft_forward(f).values
-    norm = g.freq_norm
-    nz = norm > 0
-    weight = np.zeros_like(norm)
-    weight[nz] = norm[nz] ** (2.0 * sigma)
-    return float(np.sqrt(np.sum(weight * np.abs(spec) ** 2) / g.box_length**g.n))
+    return float(hdot_norms(f.values, f.grid, sigma))
 
 
 def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> Trajectory:

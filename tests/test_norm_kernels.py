@@ -28,6 +28,8 @@ from fslab.norms import (
     MixedNormSpec,
     _axis_from_direction,
     _box_l2_linf_sum,
+    _box_tiles,
+    _kind_maximal,
     _lateral_l2_profile,
     _xk_from_spectrum,
     _yk_from_spectrum,
@@ -47,6 +49,7 @@ from fslab.spectral import (
     modulation_offset,
     spacetime_dft,
     spacetime_idft,
+    spatial_spectrum,
 )
 
 REL = 1e-12
@@ -296,22 +299,92 @@ def test_fsigma_and_nsigma_match_oracle(n, m, T, s, seed, cone):
                  oracle_nsigma(traj, sigma, s, atlas, "none"))
 
 
-@pytest.mark.parametrize("n, m, shells", [(2, 16, (1, 2, 3)), (3, 8, (1, 2))])
+def _box_sum(traj, k1, axis, k=None):
+    return _box_l2_linf_sum(spatial_spectrum(traj.values, traj.grid), traj.grid, k1, axis, k=k)
+
+
+def _conjugate(traj):
+    return Trajectory(traj.grid, traj.t0, traj.dt, np.conj(traj.values))
+
+
+@pytest.mark.parametrize("n, m, shells", [(2, 16, (1, 2, 3)), (3, 8, (1, 2)), (4, 8, (1, 2))])
 @pytest.mark.parametrize("dk1", [-2, 0])
 @pytest.mark.parametrize("conj", [False, True], ids=["f", "conj_f"])
 def test_box_sum_matches_space_time_oracle(n, m, shells, dk1, conj):
-    """The maximal kind's box sums on the criterion-09 families, every axis."""
-    fam = InputFamily(n=n, m=m, num_frames=32, shells=shells)
+    """The maximal kind's box sums on the criterion-09 families and at n = 4, every axis.
+
+    The oracle takes one space-time round trip per box, and at n = 4 the
+    sums at k1 = k-2 hold 2068 and 4095 boxes.  So the n = 4 family has 4
+    frames, and a sum made only of one-point boxes, whose value cannot
+    depend on the axis, is checked there on one axis per draw.
+    """
+    fam = InputFamily(n=n, m=m, num_frames=32 if n < 4 else 4, shells=shells)
     for index in range(2):  # a free and a modulated draw, on shells 1 and 2
         traj, k, _ = fam.draw(index, 0.75, seed=11)
         if conj:
-            traj = Trajectory(traj.grid, traj.t0, traj.dt, np.conj(traj.values))
-        for axis in range(n):
-            assert_close(_box_l2_linf_sum(traj, k + dk1, axis, k=k),
+            traj = _conjugate(traj)
+        multi = _box_tiles(fam.grid, k + dk1, k)[4]
+        axes = [index % n] if n == 4 and len(multi) == 0 else range(n)
+        for axis in axes:
+            assert_close(_box_sum(traj, k + dk1, axis, k=k),
                          oracle_box_sum(traj, k + dk1, axis, k=k))
     if dk1 == 0:
         # no shell given: every box that meets the lattice, none pruned
-        assert_close(_box_l2_linf_sum(traj, k, 0), oracle_box_sum(traj, k, 0))
+        assert_close(_box_sum(traj, k, 0), oracle_box_sum(traj, k, 0))
+
+
+@pytest.mark.parametrize("n, m, spacing, k, k1, one_point", [
+    (2, 16, 1.0, 1, -1, True), (2, 16, 1.0, 2, 0, True), (3, 8, 1.0, 1, -1, True),
+    (3, 8, 1.0, 2, 0, True), (2, 16, 0.75, 1, -1, True),
+    (2, 16, 1.0, 3, 3, False), (3, 8, 1.0, 2, 2, False)])
+def test_box_sum_families_all_or_no_one_point_boxes(n, m, spacing, k, k1, one_point):
+    """2^{k1} at or below the lattice spacing: every box is summed in closed form
+    (at spacing 0.75 with chi weights below 1); 2^{k1} well above it: every box
+    holds several points on some axis."""
+    fam = InputFamily(n=n, m=m, box_length=2.0 * np.pi / spacing, num_frames=8, shells=(k,))
+    for kk in (k, None):
+        _, _, _, one, multi = _box_tiles(fam.grid, k1, kk)
+        assert (len(one) > 0, len(multi) > 0) == (one_point, not one_point)
+    for index, conj in ((0, False), (1, True)):
+        traj, _, _ = fam.draw(index, 0.75, seed=3)
+        if conj:
+            traj = _conjugate(traj)
+        for axis in range(n):
+            assert_close(_box_sum(traj, k1, axis, k=k), oracle_box_sum(traj, k1, axis, k=k))
+        assert_close(_box_sum(traj, k1, 0), oracle_box_sum(traj, k1, 0))
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("n, m, shells", [(2, 16, (1, 2, 3)), (3, 8, (1, 2))])
+def test_maximal_draw_takes_one_spatial_transform(monkeypatch, n, m, shells):
+    """Both box sums of a draw share one forward transform; no box takes an FFT."""
+    import fslab.norms
+
+    fam = InputFamily(n=n, m=m, num_frames=32, shells=shells)
+    atlas = axis_cone_atlas(n)
+    counts = {}
+    _count_calls(monkeypatch, fslab.norms, "spatial_spectrum", counts)
+    for index in range(2):
+        counts.clear()
+        assert _kind_maximal(fam, 0.75, atlas, 0, index, lambda name, value: None) is not None
+        assert counts == {"spatial_spectrum": 1}
+    traj, k, _ = fam.draw(0, 0.75, seed=0)
+    spec = spatial_spectrum(traj.values, fam.grid)
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+        _count_calls(monkeypatch, np.fft, name, counts)
+    counts.clear()
+    for k1 in (k - 2, k):
+        assert _box_l2_linf_sum(spec, fam.grid, k1, 0, k=k) > 0.0
+    assert counts == {}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -314,10 +314,22 @@ class TestVerifyEstimate:
         rep = verify_estimate("linfty_l2", family, draws=1)
         assert np.isfinite(rep.cstar)
 
-    @pytest.mark.parametrize("kind", ["embedding", "smoothing", "homogeneous"])
+    @pytest.mark.parametrize("kind", ["embedding", "smoothing", "homogeneous", "maximal"])
     def test_four_dimensional_families(self, kind):
         # the dimension the source theorems assume; linfty_l2 is the test above
-        # and maximal (box sums) is still too slow at n = 4 for Tier-1
         family = InputFamily(n=4, m=8, num_frames=32, shells=(1, 2))
         rep = verify_estimate(kind, family, draws=1)
         assert np.isfinite(rep.cstar)
+
+    def test_maximal_flags_one_point_boxes_in_notes(self):
+        # box side 2^{k1} not above the lattice spacing: every box holds one point
+        family = InputFamily(n=3, m=8, num_frames=32, shells=(1, 2))
+        rep = verify_estimate("maximal", family, draws=1, seed=0)
+        assert set(rep.items) == {"maximal_global", "maximal_box", "worst_ratio"}
+        census = [note for note in rep.notes if note.startswith("maximal_box")]
+        assert [note.split(":")[0] for note in census] == [
+            "maximal_box k=1 k1=-1", "maximal_box k=1 k1=1",
+            "maximal_box k=2 k1=0", "maximal_box k=2 k1=2"]
+        assert census[0].startswith("maximal_box k=1 k1=-1: 349 of 349 boxes hold one "
+                                    "lattice point (box side 0.5, lattice spacing 1)")
+        assert "0 of 117 boxes" in census[1]

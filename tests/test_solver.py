@@ -30,6 +30,20 @@ from fslab.spectral import (
 from conftest import plane_wave
 
 
+def oracle_linf_hdot_inner(u, sigma):
+    """max over frames with |t| < 1 of the per-frame homogeneous seminorm, one
+    centred transform per frame (the loop the batched apriori ratio replaced)."""
+    g = u.grid
+    best = 0.0
+    for i in np.nonzero(np.abs(u.times) < 1.0)[0]:
+        spec = np.fft.fftshift(np.fft.fftn(u.values[i])) * g.dx**g.n
+        norm = g.freq_norm
+        weight = np.zeros_like(norm)
+        weight[norm > 0] = norm[norm > 0] ** (2.0 * sigma)
+        best = max(best, float(np.sqrt(np.sum(weight * np.abs(spec) ** 2) / g.box_length**g.n)))
+    return best
+
+
 @pytest.fixture
 def config():
     return SolveConfig(n=2, m=16, s=0.75, t_half=2.0, num_frames=32,
@@ -154,6 +168,19 @@ class TestPicard:
         assert res.duhamel_residual < 10 * config.tolerance
         assert np.isfinite(res.apriori_ratio)
 
+    @pytest.mark.parametrize("n, m", [(2, 16), (3, 8)])
+    def test_apriori_ratio_matches_per_frame_oracle(self, n, m):
+        cfg = SolveConfig(n=n, m=m, s=0.75, t_half=2.0, num_frames=32, epsilon=0.5,
+                          tolerance=1e-10)
+        u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, 0.5, seed=4)
+        res = picard_solve(u0, default_nonlinearity(cfg.s), cfg, fsigma_diffs=False)
+        data = Trajectory(cfg.grid, 0.0, 1.0, u0.values[None, ...])
+        want = (oracle_linf_hdot_inner(res.trajectory, cfg.sigma)
+                / oracle_linf_hdot_inner(data, cfg.sigma))
+        assert res.apriori_ratio == pytest.approx(want, rel=1e-12)
+        assert res.data_hdot == pytest.approx(oracle_linf_hdot_inner(data, cfg.sigma),
+                                              rel=1e-12)
+
     def test_free_evolution_built_once_and_loop_matches_duhamel_map(self, monkeypatch):
         cfg = SolveConfig(n=2, m=16, s=0.75, num_frames=32, epsilon=0.7, tolerance=1e-12,
                           max_iterations=40, quadrature="simpson")
@@ -277,6 +304,20 @@ class TestContinuousDependence:
             probe = continuous_dependence_probe(small_data, v0, spec, config)
             ratios.append(probe.ratio_l2)
         assert ratios[0] == pytest.approx(ratios[1], rel=0.2)
+
+    def test_ratio_hdot_matches_per_frame_oracle(self, config, small_data):
+        spec = default_nonlinearity(config.s)
+        pert = gaussian_spectrum_data(config.grid, config.sigma, 1.0, seed=9)
+        v0 = Field(config.grid, small_data.values + 1e-4 * pert.values)
+        probe = continuous_dependence_probe(small_data, v0, spec, config)
+        ru = picard_solve(small_data, spec, config, fsigma_diffs=False)
+        rv = picard_solve(v0, spec, config, fsigma_diffs=False)
+        diff = Trajectory(config.grid, ru.trajectory.t0, ru.trajectory.dt,
+                          ru.trajectory.values - rv.trajectory.values)
+        delta = Trajectory(config.grid, 0.0, 1.0, (small_data.values - v0.values)[None, ...])
+        want = oracle_linf_hdot_inner(diff, config.sigma) / oracle_linf_hdot_inner(
+            delta, config.sigma)
+        assert probe.ratio_hdot == pytest.approx(want, rel=1e-12)
 
     def test_doubled_data(self, config, small_data):
         spec = default_nonlinearity(config.s)
