@@ -44,6 +44,7 @@ from .spectral import (
     Grid,
     SpacetimeSpectrum,
     Trajectory,
+    apply_fractional_values,
     apply_spatial_multiplier,
     cached_symbol,
     dft_inverse,
@@ -55,6 +56,7 @@ from .spectral import (
     modulation_offset,
     offset_lattice,
     spacetime_dft,
+    spacetime_dft_from_spatial,
     spatial_spectrum,
 )
 
@@ -530,8 +532,8 @@ def _kind_smoothing(family, s, atlas, seed, index, collect):
     rhs = 2.0 ** (-k * (2.0 * s - 1.0) / 2.0) * zk
     axis = index % family.n
     best = None
-    for tag, tr in (("f", traj), ("conj", _conjugate_trajectory(traj))):
-        St = spacetime_dft(tr, window="none")
+    conj_spectrum = spacetime_dft(_conjugate_trajectory(traj), window="none")
+    for tag, St in (("f", S), ("conj", conj_spectrum)):
         for sign in (1.0, -1.0):
             e = np.zeros(family.n)
             e[axis] = sign
@@ -628,8 +630,9 @@ def _box_census_notes(family: InputFamily, draws: int) -> list:
 
 def _kind_maximal(family, s, atlas, seed, index, collect):
     traj, k, label = family.draw(index, s, seed)
-    S = spacetime_dft(traj, window="none")
-    zk, _ = _zk_from_spectrum(S, k, s, atlas)
+    # one spatial transform serves the space-time spectrum and the box sums
+    spec = spatial_spectrum(traj.values, family.grid)
+    zk, _ = _zk_from_spectrum(spacetime_dft_from_spatial(spec, traj), k, s, atlas)
     axis = index % family.n
     nn = family.n
     best = None
@@ -639,7 +642,6 @@ def _kind_maximal(family, s, atlas, seed, index, collect):
         if ratio is not None:
             collect("maximal_global", ratio)
             best = ratio if best is None else max(best, ratio)
-    spec = spatial_spectrum(traj.values, family.grid)
     for k1 in (k - 2, k):
         lhs = _box_l2_linf_sum(spec, family.grid, k1, axis, k=k)
         rhs = (2.0 ** (k * (nn - 1) / 2.0) * 2.0 ** (-(k - k1) * (nn - 2) / 2.0)
@@ -764,9 +766,8 @@ def _kind_trilinear(family, s, atlas, seed, index, collect, sigma=None,
     g = family.grid
     factors = [np.conj(t.values) if c == "conjugate" else t.values
                for t, c in zip(trajs, pattern)]
-    inner = apply_spatial_multiplier(factors[0] * factors[1], g,
-                                     fractional_multiplier(g, -beta, "zero_out"))
-    d3 = apply_spatial_multiplier(factors[2], g, fractional_multiplier(g, beta, "zero_out"))
+    inner = apply_fractional_values(factors[0] * factors[1], g, -beta)
+    d3 = apply_fractional_values(factors[2], g, beta)
     G = Trajectory(g, trajs[0].t0, trajs[0].dt, inner * d3)
 
     lhs = n_sigma_norm(G, sigma, s, atlas, window="none")

@@ -6,10 +6,12 @@ D^{beta_i} u_{i,3} is solved on the window [-t_half, t_half] by iterating
     T v(t) = e^{i t D^{2s}} u0 - i psi(t) int_0^t e^{i (t - t') D^{2s}} F(v)(t') dt'
 
 from the free evolution, with the time integral on the frame lattice and
-spectral derivatives.  picard_solve builds the free term e^{i t D^{2s}} u0
-once per solve; the public duhamel_map builds its own.  Smallness of the
-data is measured in the lattice homogeneous Sobolev norm of order
-(n - 2s)/2 with the zero mode excluded.
+spectral derivatives.  picard_solve builds one spectral.DuhamelOperator per
+solve (the phase table e^{i t |xi|^{2s}} and the quadrature matrix) and
+applies it for the free term, every step and the final residual; the public
+duhamel_map builds its own and runs the same step.  Smallness of the data is
+measured in the lattice homogeneous Sobolev norm of order (n - 2s)/2 with
+the zero mode excluded.
 """
 
 from __future__ import annotations
@@ -22,15 +24,12 @@ import yaml
 
 from .norms import f_sigma_norm
 from .spectral import (
+    DuhamelOperator,
     Field,
     Grid,
     Trajectory,
-    apply_spatial_multiplier,
-    check_zero_mode,
+    apply_fractional_values,
     dft_inverse,
-    duhamel_integral,
-    fractional_multiplier,
-    free_evolution,
     hdot_norm,
     hdot_norms,
 )
@@ -235,13 +234,8 @@ def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm,
     f1 = conj[term.pattern[0]](vals)
     f2 = conj[term.pattern[1]](vals)
     f3 = conj[term.pattern[2]](vals)
-
-    def mult(arr, beta):
-        check_zero_mode(arr, grid, beta, policy)
-        return apply_spatial_multiplier(arr, grid, fractional_multiplier(grid, beta, policy))
-
-    inner = mult(f1 * f2, -term.beta)
-    outer = mult(f3, term.beta)
+    inner = apply_fractional_values(f1 * f2, grid, -term.beta, policy)
+    outer = apply_fractional_values(f3, grid, term.beta, policy)
     return term.coeff * inner * outer
 
 
@@ -264,19 +258,18 @@ def _nonlinearity_values(vals: np.ndarray, grid: Grid, spec: NonlinearitySpec,
 def duhamel_map(v: Trajectory, u0: Field, spec: NonlinearitySpec,
                 config: SolveConfig) -> Trajectory:
     """T v = free evolution of u0 plus the windowed Duhamel correction."""
-    return _duhamel_step(v, free_evolution(u0, v.t0, v.dt, v.num_frames, config.s),
-                         spec, config)
+    op = DuhamelOperator(v.grid, v.t0, v.dt, v.num_frames, config.s, config.quadrature)
+    return _duhamel_step(v, op, op.free(u0), spec, config)
 
 
-def _duhamel_step(v: Trajectory, free: Trajectory, spec: NonlinearitySpec,
-                  config: SolveConfig) -> Trajectory:
-    """T v given `free`, the free evolution of the data on v's frame lattice."""
+def _duhamel_step(v: Trajectory, op: DuhamelOperator, free: Trajectory,
+                  spec: NonlinearitySpec, config: SolveConfig) -> Trajectory:
+    """T v given v's frame operator and `free`, the free evolution of the data."""
     if not spec.terms:
         return free
     forcing = Trajectory(v.grid, v.t0, v.dt,
                          _nonlinearity_values(v.values, v.grid, spec, config.zero_mode_policy))
-    correction = duhamel_integral(forcing, config.s, rule=config.quadrature)
-    return Trajectory(v.grid, v.t0, v.dt, free.values + correction.values)
+    return Trajectory(v.grid, v.t0, v.dt, free.values + op.integral(forcing).values)
 
 
 @dataclass
@@ -344,7 +337,8 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
                       f"{config.epsilon:.3e}", stacklevel=2)
 
     t0 = -config.t_half
-    free = free_evolution(u0, t0, config.dt, config.num_frames, config.s)
+    op = DuhamelOperator(g, t0, config.dt, config.num_frames, config.s, config.quadrature)
+    free = op.free(u0)
     current = free
     ref = max(u0.l2_norm(), 1e-300)
     diffs, fdiffs, ratios = [], [], []
@@ -364,7 +358,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
         # An overflow anywhere in the step leaves inf or nan in the iterate or
         # in its distance to the previous one; both are checked right below.
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = _duhamel_step(current, free, spec, config)
+            nxt = _duhamel_step(current, op, free, spec, config)
             diff_traj = Trajectory(g, t0, config.dt, nxt.values - current.values)
             d = diff_traj.linf_l2()
         if not (np.isfinite(d) and np.all(np.isfinite(nxt.values))):
@@ -384,7 +378,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
             raise diverged(f"Picard iteration diverging after {it} steps "
                            f"(last ratios {ratios[-3:]})", it)
 
-    residual = _linf_l2_inner(current, _duhamel_step(current, free, spec, config)) / ref
+    residual = _linf_l2_inner(current, _duhamel_step(current, op, free, spec, config)) / ref
     apriori = _linf_hdot_inner(current, config.sigma) / max(data_hdot, 1e-300)
     return SolveResult(
         trajectory=current, converged=converged, iterations=iterations,

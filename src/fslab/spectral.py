@@ -16,12 +16,20 @@ FFT order is decided in this module only.  Spectra cross the public boundary
 and every multiplier built from Grid.freq_1d / Grid.freq_norm) in centred
 order, zero mode in the middle.
 Internal spatial round trips (apply_spatial_multiplier, evolve_spectrum,
-duhamel_integral) stay in FFT-native order from end to end: only the
-grid-sized multiplier is shifted, never a (T, m^n) batch of frames.
+DuhamelOperator) stay in FFT-native order from end to end: only the
+grid-sized multiplier is shifted, never a (T, m^n) batch of frames, and the
+fractional multipliers keep a cached FFT-native copy so that D^beta shifts
+nothing at all.
 
 Every time-independent spatial multiplier is applied by
-apply_spatial_multiplier, to a field or to all frames at once; the 'reject'
-zero-mode policy is check_zero_mode.
+apply_spatial_multiplier, or for D^beta by apply_fractional_values, to a
+field or to all frames at once; the 'reject' zero-mode policy is
+check_zero_mode.
+
+The linear time evolution of a frame lattice is one DuhamelOperator: a phase
+table e^{i t |xi|^{2s}}, the signed cumulative quadrature rule as a (T, T)
+matrix, and the time cut-off.  free_evolution and duhamel_integral each
+build one; a Picard solve builds one and reuses it for every step.
 
 Symbols that depend only on the lattice (multipliers, modulation-weight
 tables, cone partitions) are memoized in one bounded cache, keyed by value
@@ -57,16 +65,20 @@ __all__ = [
     "fractional_multiplier",
     "check_zero_mode",
     "apply_fractional",
+    "apply_fractional_values",
     "linear_propagate",
     "apply_spatial_multiplier",
     "evolve_spectrum",
     "free_evolution",
     "spacetime_dft",
+    "spacetime_dft_from_spatial",
     "spacetime_idft",
     "offset_lattice",
     "modulation_offset",
     "hdot_norm",
     "hdot_norms",
+    "DuhamelOperator",
+    "duhamel_quadrature",
     "duhamel_integral",
 ]
 
@@ -267,7 +279,7 @@ class SpacetimeSpectrum:
     """(n+1)-dimensional spectrum of a (windowed) trajectory.
 
     values has shape (T, m, ..., m) with the tau axis first, both axes in
-    centered order.  Produced by spacetime_dft only.
+    centered order.  Produced by spacetime_dft (or spacetime_dft_from_spatial).
     """
 
     grid: Grid
@@ -351,10 +363,14 @@ def fractional_multiplier(grid: Grid, beta: float, zero_mode_policy: str = "zero
     Both policies share the array; 'reject' is enforced on the data by
     check_zero_mode before the array is applied.
     """
-    if zero_mode_policy not in ("zero_out", "reject"):
-        raise ValueError("zero_mode_policy must be 'zero_out' or 'reject'")
+    _check_policy(zero_mode_policy)
     return cached_symbol(("fractional", grid, float(beta)),
                          lambda: _fractional_values(grid, beta))
+
+
+def _check_policy(zero_mode_policy: str) -> None:
+    if zero_mode_policy not in ("zero_out", "reject"):
+        raise ValueError("zero_mode_policy must be 'zero_out' or 'reject'")
 
 
 def _fractional_values(grid: Grid, beta: float) -> np.ndarray:
@@ -383,11 +399,23 @@ def check_zero_mode(values: np.ndarray, grid: Grid, beta: float, zero_mode_polic
                             f"(|mean| = {np.max(mean) / grid.npoints:.3e}) under 'reject'")
 
 
+def apply_fractional_values(values: np.ndarray, grid: Grid, beta: float,
+                            zero_mode_policy: str = "zero_out") -> np.ndarray:
+    """D^beta over the trailing n axes of `values` (a field or all frames at once).
+
+    The zero-mode policy is checked on the data first; the multiplier is the
+    cached FFT-native copy of fractional_multiplier, so nothing is shifted.
+    """
+    _check_policy(zero_mode_policy)
+    check_zero_mode(values, grid, beta, zero_mode_policy)
+    native = cached_symbol(("fractional_native", grid, float(beta)),
+                           lambda: np.fft.ifftshift(fractional_multiplier(grid, beta)))
+    return _apply_native_multiplier(values, grid, native)
+
+
 def apply_fractional(f: Field, beta: float, zero_mode_policy: str = "zero_out") -> Field:
     """Fourier multiplier D^beta = |nabla|^beta on a field."""
-    check_zero_mode(f.values, f.grid, beta, zero_mode_policy)
-    mult = fractional_multiplier(f.grid, beta, zero_mode_policy)
-    return Field(f.grid, apply_spatial_multiplier(f.values, f.grid, mult))
+    return Field(f.grid, apply_fractional_values(f.values, f.grid, beta, zero_mode_policy))
 
 
 def linear_propagate(f: Field, t: float, s: float) -> Field:
@@ -404,8 +432,18 @@ def apply_spatial_multiplier(values: np.ndarray, grid: Grid, mult: np.ndarray) -
     `mult` is grid-sized in centred order; only it is shifted to FFT-native
     order, so `values` may carry any leading (time) axes at no extra copy.
     """
+    return _apply_native_multiplier(values, grid, np.fft.ifftshift(mult))
+
+
+def _apply_native_multiplier(values: np.ndarray, grid: Grid, native: np.ndarray) -> np.ndarray:
     axes = tuple(range(values.ndim - grid.n, values.ndim))
-    return np.fft.ifftn(np.fft.ifftshift(mult) * np.fft.fftn(values, axes=axes), axes=axes)
+    return np.fft.ifftn(native * np.fft.fftn(values, axes=axes), axes=axes)
+
+
+def _phase_table(times: np.ndarray, native_omega: np.ndarray) -> np.ndarray:
+    """e^{i t omega(xi)} for each t in `times`; omega grid-sized in FFT-native order."""
+    tshape = (-1,) + (1,) * native_omega.ndim
+    return np.exp(1j * np.reshape(times, tshape) * native_omega[None, ...])
 
 
 def evolve_spectrum(spec0: np.ndarray, grid: Grid, times: np.ndarray,
@@ -415,18 +453,14 @@ def evolve_spectrum(spec0: np.ndarray, grid: Grid, times: np.ndarray,
     spec0 and omega are grid-sized in centred order; the result has shape
     (len(times),) + grid.shape.
     """
-    tshape = (-1,) + (1,) * grid.n
-    phases = np.exp(1j * np.reshape(times, tshape) * np.fft.ifftshift(omega)[None, ...])
+    phases = _phase_table(times, np.fft.ifftshift(omega))
     return np.fft.ifftn(phases * np.fft.ifftshift(spec0)[None, ...],
                         axes=tuple(range(1, grid.n + 1))) / grid.dx**grid.n
 
 
 def free_evolution(u0: Field, t0: float, dt: float, num_frames: int, s: float) -> Trajectory:
     """Trajectory of e^{i t D^{2s}} u0 on a uniform frame lattice."""
-    g = u0.grid
-    times = t0 + dt * np.arange(num_frames)
-    frames = evolve_spectrum(dft_forward(u0).values, g, times, g.freq_norm ** (2.0 * s))
-    return Trajectory(g, t0, dt, frames)
+    return DuhamelOperator(u0.grid, t0, dt, num_frames, s).free(u0)
 
 
 def _window_array(u: Trajectory, window: str) -> np.ndarray:
@@ -439,12 +473,25 @@ def _window_array(u: Trajectory, window: str) -> np.ndarray:
 
 def spacetime_dft(u: Trajectory, window: str = "taper") -> SpacetimeSpectrum:
     """Transform of the (optionally tapered) trajectory in all n+1 variables."""
+    w = _window_array(u, window)
+    vals = u.values * w.reshape((-1,) + (1,) * u.grid.n)
+    return _time_transform(spatial_spectrum(vals, u.grid), u, window)
+
+
+def spacetime_dft_from_spatial(spec: np.ndarray, u: Trajectory) -> SpacetimeSpectrum:
+    """spacetime_dft(u, window="none") given spec = spatial_spectrum(u.values, u.grid).
+
+    Only the time transform is left to do, so a caller that needs both
+    spectra of one trajectory transforms its frames in space once.
+    """
+    return _time_transform(spec, u, "none")
+
+
+def _time_transform(spec: np.ndarray, u: Trajectory, window: str) -> SpacetimeSpectrum:
+    """The time stage of spacetime_dft, from the spatial spectrum of the windowed frames."""
     g = u.grid
     T = u.num_frames
-    w = _window_array(u, window)
-    vals = u.values * w.reshape((-1,) + (1,) * g.n)
-    spatial_axes = tuple(range(1, g.n + 1))
-    spec = np.fft.fftshift(np.fft.fftn(vals, axes=spatial_axes), axes=spatial_axes) * g.dx**g.n
+    spec = spec * g.dx**g.n
     # time axis uses the opposite kernel e^{+i tau t}; realized by ifft * T
     spec = np.fft.fftshift(np.fft.ifft(spec, axis=0), axes=0) * T * u.dt
     taus = _tau_lattice(T, u.dt)
@@ -500,35 +547,100 @@ def hdot_norm(f: Field, sigma: float) -> float:
     return float(hdot_norms(f.values, f.grid, sigma))
 
 
+def _check_rule(rule: str) -> None:
+    if rule not in ("trapezoid", "simpson"):
+        raise ValueError("quadrature rule must be 'trapezoid' or 'simpson'")
+
+
+def duhamel_quadrature(num_frames: int, i0: int, dt: float, rule: str) -> np.ndarray:
+    """The signed cumulative rule from frame i0 as a (T, T) matrix (read-only, cached).
+
+    Row i holds the weights of int_{t_i0}^{t_i} over the frames (minus
+    int_{t_i}^{t_i0} for i < i0): scipy's cumulative_trapezoid or
+    cumulative_simpson (initial=0) applied to the identity, forward from i0
+    and, reversed, backward from it.  Row i0 is exactly zero.
+    """
+    _check_rule(rule)
+
+    def build():
+        accumulate = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
+        Q = np.zeros((num_frames, num_frames))
+        if i0 > 0:
+            Q[: i0 + 1, : i0 + 1] = -accumulate(np.eye(i0 + 1), dx=dt, axis=0,
+                                                 initial=0)[::-1, ::-1]
+        Q[i0:, i0:] = accumulate(np.eye(num_frames - i0), dx=dt, axis=0, initial=0)
+        return Q
+    return cached_symbol(("duhamel_quadrature", int(num_frames), int(i0), float(dt), rule),
+                         build)
+
+
+class DuhamelOperator:
+    """The linear time operator of one frame lattice t_i = t0 + i dt, i < num_frames.
+
+    It holds the phase table P = e^{i t |xi|^{2s}}, shape (T,) + grid.shape
+    in FFT-native order, and applies
+
+        free(u0)         e^{i t D^{2s}} u0                     = ifftn(P * u0_hat)
+        integral(F)      -i psi(t) int_0^t e^{i(t-t')D^{2s}} F(t') dt'
+                                                  = ifftn(-i psi P * (Q @ (conj(P) * F_hat)))
+
+    where Q is duhamel_quadrature (shared through the symbol cache) and psi
+    the time cut-off, both built on the first integral, which needs t = 0 on
+    a frame.  P is as large as a trajectory, so it lives as long as the
+    operator and never enters the symbol cache.
+    """
+
+    def __init__(self, grid: Grid, t0: float, dt: float, num_frames: int, s: float,
+                 rule: str = "trapezoid"):
+        _check_rule(rule)
+        self.grid, self.t0, self.dt, self.rule = grid, t0, dt, rule
+        self.times = t0 + dt * np.arange(num_frames)
+        self.phases = _phase_table(self.times, np.fft.ifftshift(grid.freq_norm ** (2.0 * s)))
+
+    @property
+    def num_frames(self) -> int:
+        return self.times.size
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """psi(t_i) Q[i, j]: the quadrature rows scaled by the cut-off."""
+        times = self.times
+        i0 = int(np.argmin(np.abs(times)))
+        if abs(times[i0]) > 1e-9 * self.dt:
+            raise ValueError("t = 0 must lie on the frame lattice")
+        Q = duhamel_quadrature(self.num_frames, i0, self.dt, self.rule)
+        return time_cutoff(times)[:, None] * Q
+
+    def free(self, u0: Field) -> Trajectory:
+        """The free evolution e^{i t D^{2s}} u0 on the frames."""
+        g = self.grid
+        spec0 = np.fft.fftn(u0.values) * g.dx**g.n
+        frames = np.fft.ifftn(self.phases * spec0[None, ...],
+                              axes=tuple(range(1, g.n + 1))) / g.dx**g.n
+        return Trajectory(g, self.t0, self.dt, frames)
+
+    def integral(self, forcing: Trajectory) -> Trajectory:
+        """The windowed Duhamel term of a forcing on the same frames."""
+        g, T = self.grid, self.num_frames
+        if forcing.values.shape[0] != T:
+            raise ValueError("forcing frames do not match the operator's lattice")
+        axes = tuple(range(1, g.n + 1))
+        W = np.fft.fftn(forcing.values, axes=axes)
+        W *= np.conj(self.phases)
+        # the real (T, T) weights act on the real and imaginary parts alike
+        H = (self._weights @ W.reshape(T, -1).view(np.float64)).view(np.complex128)
+        H = H.reshape(W.shape)
+        H *= self.phases
+        H *= -1j
+        return Trajectory(g, forcing.t0, forcing.dt, np.fft.ifftn(H, axes=axes))
+
+
 def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> Trajectory:
     """Windowed Duhamel term -i psi(t) int_0^t e^{i(t-t')D^{2s}} F(t') dt'.
 
     The integral runs along the frame lattice (signed for t < 0) in the
-    interaction picture: W(t') = e^{-i t' D^{2s}} F(t') is accumulated by
-    scipy's cumulative rule on the complex array and propagated forward once
-    per frame.  t = 0 must be a frame time.  Works in FFT-native order.
+    interaction picture, by scipy's cumulative rule in matrix form; see
+    DuhamelOperator.  t = 0 must be a frame time.
     """
-    if rule not in ("trapezoid", "simpson"):
-        raise ValueError("quadrature rule must be 'trapezoid' or 'simpson'")
-    g = forcing.grid
-    times = forcing.times
-    i0 = int(np.argmin(np.abs(times)))
-    if abs(times[i0]) > 1e-9 * forcing.dt:
-        raise ValueError("t = 0 must lie on the frame lattice")
-
-    w2s = np.fft.ifftshift(g.freq_norm ** (2.0 * s))
-    spatial_axes = tuple(range(1, g.n + 1))
-    spec = np.fft.fftn(forcing.values, axes=spatial_axes)
-    tshape = (-1,) + (1,) * g.n
-    W = np.exp(-1j * times.reshape(tshape) * w2s[None, ...]) * spec
-
-    accumulate = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
-    H = np.zeros_like(W)
-    H[i0:] = accumulate(W[i0:], dx=forcing.dt, axis=0, initial=0)
-    if i0 > 0:
-        H[: i0 + 1] = -accumulate(W[i0::-1], dx=forcing.dt, axis=0, initial=0)[::-1]
-
-    psi = time_cutoff(times)
-    out = -1j * psi.reshape(tshape) * np.exp(1j * times.reshape(tshape) * w2s[None, ...]) * H
-    vals = np.fft.ifftn(out, axes=spatial_axes)
-    return Trajectory(g, forcing.t0, forcing.dt, vals)
+    op = DuhamelOperator(forcing.grid, forcing.t0, forcing.dt, forcing.num_frames, s, rule)
+    return op.integral(forcing)

@@ -2,7 +2,9 @@
 
 The spectral helpers are pinned bit for bit against the hand-written
 centred-order shift sequences they replaced, which are kept here as
-oracles.  A source scan keeps fftshift / ifftshift inside spectral.py.
+oracles.  The Duhamel integral is the exception: its matrix form sums the
+quadrature in a different order, so it is pinned to 1e-14 of the oracle's
+scale.  A source scan keeps fftshift / ifftshift inside spectral.py.
 """
 
 import re
@@ -96,6 +98,12 @@ def oracle_duhamel(forcing, s, rule):
     return np.fft.ifftn(np.fft.ifftshift(out, axes=axes), axes=axes)
 
 
+def assert_close_to_oracle(values, oracle, rel=1e-14):
+    """Max-abs deviation at most `rel` of the oracle's max-abs."""
+    assert values.shape == oracle.shape
+    assert np.max(np.abs(values - oracle)) <= rel * np.max(np.abs(oracle))
+
+
 def oracle_nonlinearity(u, spec):
     g = u.grid
     vals = u.values[None, ...]
@@ -158,7 +166,7 @@ def test_free_evolution_matches_oracle(grid):
 def test_duhamel_integral_matches_oracle(grid, rule):
     forcing = Trajectory(grid, -1.0, 0.0625, _values(grid, np.random.default_rng(4), 32))
     out = duhamel_integral(forcing, 0.75, rule=rule)
-    assert np.array_equal(out.values, oracle_duhamel(forcing, 0.75, rule))
+    assert_close_to_oracle(out.values, oracle_duhamel(forcing, 0.75, rule))
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
@@ -170,7 +178,7 @@ def test_duhamel_integral_edge_frames_match_oracle(rule, frames, t0):
     grid = GRIDS[1]
     forcing = Trajectory(grid, t0, 0.0625, _values(grid, np.random.default_rng(6), frames))
     out = duhamel_integral(forcing, 0.75, rule=rule)
-    assert np.array_equal(out.values, oracle_duhamel(forcing, 0.75, rule))
+    assert_close_to_oracle(out.values, oracle_duhamel(forcing, 0.75, rule))
     i0 = int(np.argmin(np.abs(forcing.times)))
     assert not np.any(out.values[i0])
 

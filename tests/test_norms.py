@@ -314,7 +314,8 @@ class TestVerifyEstimate:
         rep = verify_estimate("linfty_l2", family, draws=1)
         assert np.isfinite(rep.cstar)
 
-    @pytest.mark.parametrize("kind", ["embedding", "smoothing", "homogeneous", "maximal"])
+    @pytest.mark.parametrize("kind", ["embedding", "smoothing", "homogeneous", "maximal",
+                                      "inhomogeneous", "trilinear"])
     def test_four_dimensional_families(self, kind):
         # the dimension the source theorems assume; linfty_l2 is the test above
         family = InputFamily(n=4, m=8, num_frames=32, shells=(1, 2))

@@ -20,6 +20,7 @@ from fslab.solver import (
     residual_check,
 )
 from fslab.spectral import (
+    DuhamelOperator,
     Field,
     Trajectory,
     dft_forward,
@@ -186,19 +187,26 @@ class TestPicard:
                           max_iterations=40, quadrature="simpson")
         u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, 0.6, seed=2)
         spec = default_nonlinearity(cfg.s)
-        calls = []
+        built, freed = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return free_evolution(*args, **kwargs)
+        class Counted(DuhamelOperator):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(fslab.solver, "free_evolution", counted)
+            def free(self, u0):
+                freed.append(u0)
+                return super().free(u0)
+
+        monkeypatch.setattr(fslab.solver, "DuhamelOperator", Counted)
         res = picard_solve(u0, spec, cfg, fsigma_diffs=False)
-        assert len(calls) == 1
+        # one time operator for every step and the final residual, and one
+        # free evolution from it
+        assert len(built) == 1 and len(freed) == 1
         monkeypatch.undo()
         assert res.iterations > 5
         # the same iteration spelled with the public map, which rebuilds the
-        # free evolution on every call, gives the same bits
+        # operator and the free evolution on every call, gives the same bits
         current = free_evolution(u0, -cfg.t_half, cfg.dt, cfg.num_frames, cfg.s)
         for _ in range(res.iterations):
             current = duhamel_map(current, u0, spec, cfg)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
+import fslab.spectral
+from fslab.solver import SolveConfig, default_nonlinearity, gaussian_spectrum_data, picard_solve
 from fslab.spectral import (
+    DuhamelOperator,
     Field,
     Trajectory,
     ZeroModeError,
     apply_fractional,
     dft_forward,
     dft_inverse,
+    duhamel_integral,
+    duhamel_quadrature,
     fractional_symbol,
     free_evolution,
     hdot_norm,
@@ -243,3 +249,82 @@ class TestHdot:
     def test_zero_mode_excluded(self, grid2d):
         f = Field(grid2d, np.ones(grid2d.shape))
         assert hdot_norm(f, 0.5) == pytest.approx(0.0, abs=1e-12)
+
+
+def scipy_signed_cumulative(W, i0, dt, rule):
+    """scipy's cumulative rule on W itself: forward from frame i0 and,
+    negated, backward from it along the reversed frames."""
+    accumulate = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
+    H = np.zeros_like(W)
+    H[i0:] = accumulate(W[i0:], dx=dt, axis=0, initial=0)
+    if i0 > 0:
+        H[: i0 + 1] = -accumulate(W[i0::-1], dx=dt, axis=0, initial=0)[::-1]
+    return H
+
+
+class TestDuhamelOperator:
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    @pytest.mark.parametrize("frames", [1, 8, 16, 32])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_quadrature_matrix_is_scipys_rule(self, rule, frames, where):
+        i0 = {"first": 0, "middle": frames // 2, "last": frames - 1}[where]
+        dt = 0.0625
+        W = np.random.default_rng(frames).standard_normal((frames, 5))
+        Q = duhamel_quadrature(frames, i0, dt, rule)
+        assert Q.shape == (frames, frames) and not Q.flags.writeable
+        expected = scipy_signed_cumulative(W, i0, dt, rule)
+        assert np.max(np.abs(Q @ W - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert not np.any(Q[i0])
+
+    def test_quadrature_built_once_per_key(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cumulative_simpson(*args, **kwargs)
+
+        monkeypatch.setattr(fslab.spectral, "cumulative_simpson", counted)
+        # a step no other test uses, so the first call builds the matrix
+        dt = 0.0625 * (1.0 + 2.0**-40)
+        first = duhamel_quadrature(16, 8, dt, "simpson")
+        assert len(calls) == 2            # forward and backward from frame 8
+        assert duhamel_quadrature(16, 8, dt, "simpson") is first
+        grid = make_grid(2, 8, 2 * np.pi)
+        forcing = Trajectory(grid, -8 * dt, dt, np.ones((16,) + grid.shape, dtype=complex))
+        duhamel_integral(forcing, 0.75, rule="simpson")
+        DuhamelOperator(grid, -8 * dt, dt, 16, 0.75, "simpson").integral(forcing)
+        assert len(calls) == 2
+        duhamel_quadrature(16, 7, dt, "simpson")
+        assert len(calls) == 4
+
+    def test_free_and_integral_share_the_phase_table(self):
+        grid = make_grid(2, 8, 2 * np.pi)
+        rng = np.random.default_rng(3)
+        u0 = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        op = DuhamelOperator(grid, -1.0, 0.0625, 32, 0.75, "simpson")
+        assert op.phases.shape == (32,) + grid.shape
+        assert np.array_equal(op.free(u0).values,
+                              free_evolution(u0, -1.0, 0.0625, 32, 0.75).values)
+        forcing = Trajectory(grid, -1.0, 0.0625, rng.standard_normal((32,) + grid.shape))
+        assert np.array_equal(op.integral(forcing).values,
+                              duhamel_integral(forcing, 0.75, rule="simpson").values)
+
+    def test_rejects_bad_rule_and_off_lattice_zero(self):
+        grid = make_grid(1, 8, 2 * np.pi)
+        with pytest.raises(ValueError, match="quadrature rule"):
+            DuhamelOperator(grid, -1.0, 0.25, 8, 0.75, "midpoint")
+        forcing = Trajectory(grid, -0.9, 0.25, np.ones((8,) + grid.shape))
+        with pytest.raises(ValueError, match="t = 0 must lie"):
+            duhamel_integral(forcing, 0.75)
+
+    def test_solve_leaves_no_trajectory_sized_cache_entry(self):
+        # a box length no other test uses, so every entry of this grid is new
+        cfg = SolveConfig(n=2, m=16, box_length=6.5, s=0.75, num_frames=32)
+        u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=1)
+        cache = fslab.spectral._SYMBOLS
+        before = set(cache._entries)
+        picard_solve(u0, default_nonlinearity(cfg.s), cfg, fsigma_diffs=False)
+        added = {key: cache._entries[key][1] for key in set(cache._entries) - before}
+        frames_bytes = cfg.num_frames * cfg.grid.npoints * 16
+        assert ("duhamel_quadrature", 32, 16, cfg.dt, "simpson") in cache._entries
+        assert all(size < frames_bytes for size in added.values()), added
