@@ -57,6 +57,7 @@ __all__ = [
     "SpacetimeSpectrum",
     "make_grid",
     "cached_symbol",
+    "symbol_cache_info",
     "spatial_spectrum",
     "idft_phases",
     "dft_forward",
@@ -113,6 +114,8 @@ class _SymbolCache:
         self.max_bytes = max_bytes
         self._entries: OrderedDict = OrderedDict()
         self._bytes = 0
+        self._hits = 0
+        self._misses = 0
         self._lock = threading.Lock()
 
     def get(self, key: tuple, build):
@@ -120,7 +123,9 @@ class _SymbolCache:
             hit = self._entries.get(key)
             if hit is not None:
                 self._entries.move_to_end(key)
+                self._hits += 1
                 return hit[0]
+            self._misses += 1
         value = build()
         size = 0
         for arr in _member_arrays(value):
@@ -137,6 +142,12 @@ class _SymbolCache:
                 self._bytes -= evicted
         return value
 
+    def info(self) -> dict:
+        with self._lock:
+            return {"entries": {key: size for key, (_, size) in self._entries.items()},
+                    "bytes": self._bytes, "budget": self.max_bytes,
+                    "hits": self._hits, "misses": self._misses}
+
 
 # Lattice symbols at desk sizes take well under a megabyte each; the budget
 # holds the tables of a few grids at once without growing with a long run.
@@ -152,6 +163,16 @@ def cached_symbol(key: tuple, build):
     write makes its own copy.
     """
     return _SYMBOLS.get(key, build)
+
+
+def symbol_cache_info() -> dict:
+    """A snapshot of the symbol cache, least recently used entry first.
+
+    `entries` maps each key to its size in bytes; `bytes` is their total,
+    `budget` the byte budget, and `hits` and `misses` count the lookups
+    since the process started (a miss is a call that built its value).
+    """
+    return _SYMBOLS.info()
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
+from fslab import oscillatory
 from fslab.oscillatory import (
     DecayFit,
     PhaseIntegralSpec,
@@ -32,10 +35,145 @@ def brute_force_integral(n, s, cutoff_fn, rmax, x, t, pts=220):
     return complex(vals.sum() * dv)
 
 
+# --- oracle: the Bessel path and radial integrand before the Horner tables ---
+
+def _oracle_bessel_series(nu, x, terms=42):
+    y = (x / 2.0) ** 2
+    acc = np.zeros_like(x)
+    c = 1.0 / math.gamma(nu + 1.0)
+    acc += c
+    for m in range(1, terms):
+        c = -c / (m * (m + nu))
+        acc = acc + c * y**m
+    with np.errstate(invalid="ignore"):
+        lead = np.where(x > 0, (x / 2.0) ** nu, 1.0 if nu == 0 else 0.0)
+    return lead * acc
+
+
+def _oracle_bessel_asymptotic(nu, x, terms=12):
+    mu = 4.0 * nu * nu
+    a = [1.0]
+    for m in range(1, terms):
+        a.append(a[-1] * (mu - (2 * m - 1) ** 2) / (8.0 * m))
+    P = np.zeros_like(x)
+    Q = np.zeros_like(x)
+    for m, am in enumerate(a):
+        if m % 2 == 0:
+            P = P + ((-1.0) ** (m // 2)) * am * x ** (-m)
+        else:
+            Q = Q + ((-1.0) ** (m // 2)) * am * x ** (-m)
+    omega = x - nu * np.pi / 2.0 - np.pi / 4.0
+    return np.sqrt(2.0 / (np.pi * x)) * (np.cos(omega) * P - np.sin(omega) * Q)
+
+
+def oracle_bessel_j(nu, x):
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.empty_like(x)
+    small = x <= 15.0
+    if np.any(small):
+        out[small] = _oracle_bessel_series(nu, x[small])
+    if np.any(~small):
+        out[~small] = _oracle_bessel_asymptotic(nu, x[~small])
+    return float(out[0]) if scalar else out
+
+
+def oracle_angular_factor(n, rho):
+    rho = np.abs(np.asarray(rho, dtype=float))
+    if n == 1:
+        return 2.0 * np.cos(rho)
+    scalar = rho.ndim == 0
+    rho = np.atleast_1d(rho)
+    nu = (n - 2) / 2.0
+    out = np.empty_like(rho)
+    tiny = rho < 1e-6
+    out[tiny] = sphere_surface_area(n) * (1.0 - rho[tiny] ** 2 / (2.0 * n))
+    big = ~tiny
+    if np.any(big):
+        out[big] = (2.0 * np.pi) ** (n / 2.0) * rho[big] ** (-nu) * oracle_bessel_j(nu, rho[big])
+    return float(out[0]) if scalar else out
+
+
+def _oracle_gk_panels(f, a, b, panels):
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * oscillatory._K15_X[None, :]
+    vals = f(nodes.ravel()).reshape(panels, 15)
+    k15 = (vals * oscillatory._K15_W[None, :]).sum(axis=1) * half
+    g7 = (vals[:, oscillatory._G7_IDX] * oscillatory._G7_W[None, :]).sum(axis=1) * half
+    return complex(k15.sum()), float(np.abs(k15 - g7).sum())
+
+
+def oracle_radial_integral(n, s, cutoff, rlo, rhi, xnorm, t, tol=1e-8, scale=None):
+    if rhi <= rlo:
+        return 0.0 + 0.0j
+
+    def integrand(r):
+        return (np.exp(1j * t * r ** (2.0 * s)) * oracle_angular_factor(n, r * xnorm)
+                * cutoff(r) * r ** (n - 1))
+
+    dphase = 2.0 * s * abs(t) * max(rhi, 1e-300) ** (2.0 * s - 1.0) + abs(xnorm)
+    panels = max(64, int(np.ceil((rhi - rlo) * dphase / (np.pi / 4.0))))
+    panels = min(panels, 60000)
+    value, err = _oracle_gk_panels(integrand, rlo, rhi, panels)
+    if scale is None:
+        scale = abs(_oracle_gk_panels(lambda r: oracle_angular_factor(n, r * 0.0)
+                                           * cutoff(r) * r ** (n - 1), rlo, rhi, 64)[0])
+    if err > tol * max(scale, 1e-300):
+        value2, err2 = _oracle_gk_panels(integrand, rlo, rhi, 2 * panels)
+        if err2 > tol * max(scale, 1e-300):
+            warnings.warn(f"dispersive quadrature not converged (err {err2:.2e}); "
+                          "returning partial result", stacklevel=2)
+        value = value2
+    return value
+
+
+# arguments on both sides of the series cut at 15, out to the ridge's range
+_RIDGE_X = np.concatenate([np.linspace(0.0, 30.0, 3001), [15.0, np.nextafter(15.0, 16.0)],
+                           np.geomspace(30.0, 5000.0, 4000)])
+
+
+class TestKernelMatchesOracle:
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])
+    def test_bessel_j(self, nu):
+        assert np.abs(bessel_j(nu, _RIDGE_X) - oracle_bessel_j(nu, _RIDGE_X)).max() <= 1e-14
+        for x in (0.0, 14.9, 15.0, 15.1, 4000.0):
+            assert abs(bessel_j(nu, x) - oracle_bessel_j(nu, x)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_angular_factor(self, n):
+        rho = np.concatenate([[0.0, 1e-7, 5e-7], _RIDGE_X])
+        assert np.abs(angular_factor(n, rho) - oracle_angular_factor(n, rho)).max() <= 1e-14
+        # the mask-free path: no argument near zero
+        far = _RIDGE_X[_RIDGE_X > 1.0]
+        assert np.abs(angular_factor(n, far) - oracle_angular_factor(n, far)).max() <= 1e-14
+
+    def test_gk_panels_bit_identical(self):
+        def wave(r):
+            return np.exp(1j * 40.0 * r ** 1.5) * np.cos(r)
+
+        for panels in (1, 64, 1000):
+            assert oscillatory._gk_panels(wave, 0.5, 1.9, panels) == \
+                _oracle_gk_panels(wave, 0.5, 1.9, panels)
+            assert oscillatory._gk_panels(np.cos, 0.0, 3.0, panels) == \
+                _oracle_gk_panels(np.cos, 0.0, 3.0, panels)
+
+    @pytest.mark.parametrize("n, s, t", [(2, 0.75, 10.0), (3, 0.75, 1000.0), (2, 0.9, 300.0)])
+    def test_dispersive_peak(self, n, s, t, monkeypatch):
+        spec = PhaseIntegralSpec(n=n, s=s, cutoff="annulus_dyadic", k=0)
+        got = dispersive_peak(spec, t)
+        monkeypatch.setattr(oscillatory, "_radial_integral", oracle_radial_integral)
+        want = dispersive_peak(spec, t)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestBessel:
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_matches_scipy(self, nu):
-        x = np.linspace(0.01, 60.0, 600)
+        # the whole range the ridge search evaluates
+        x = np.linspace(0.01, 5000.0, 50001)
         assert np.abs(bessel_j(nu, x) - special.jv(nu, x)).max() < 1e-10
 
     def test_at_zero(self):
@@ -193,16 +331,36 @@ class TestL1SupProfile:
             l1_sup_profile(1, 0, (1.0, 0.0), 0.75, 2)
 
 
+def oracle_sigma_measure_grid(k, j, zeta_normsq, tau, s, num_points=400001):
+    """The membership-grid count that measured fractional s before the closed form."""
+    lo, hi = 2.0**k, 2.0 ** (k + 1)
+    xi1 = np.linspace(lo, hi, num_points)
+    xin = np.sqrt(xi1**2 + zeta_normsq)
+    member = (np.abs(tau + xin ** (2.0 * s)) <= 2.0**j) & (xin >= lo) & (xin <= hi)
+    return float(np.count_nonzero(member) * (hi - lo) / (num_points - 1))
+
+
 class TestSigmaMeasure:
+    @pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
+    def test_closed_form_matches_grid(self, s):
+        # the grid counts the interval to within two of its spacings
+        for k, j, cz, ct in ((0, 0, 0.0, 1.05), (2, 1, 0.4, 1.3), (3, 3, 0.9, 1.7),
+                             (5, 2, 0.4, 2.0), (4, 6, 0.0, 1.3), (6, 7, 0.4, 1.05)):
+            zun, tau = (cz * 2.0**k) ** 2, -((ct * 2.0**k) ** (2.0 * s))
+            spacing = 2.0**k / 400000
+            exact = sigma_measure(k, j, zun, tau, s)
+            assert abs(exact - oracle_sigma_measure_grid(k, j, zun, tau, s)) <= 2.0 * spacing
+
     def test_closed_form_example(self):
         # s=1, zeta=0, tau=-4, delta=0.4, k=1: positive branch [2, sqrt(4.4)]
         m = sigma_measure(1, np.log2(0.4), 0.0, -4.0, 1.0)
         assert m == pytest.approx(np.sqrt(4.4) - 2.0, rel=1e-12)
 
     def test_grid_matches_closed_form(self):
+        # the fractional-s form tends to the s = 1 square roots
         m_exact = sigma_measure(1, np.log2(0.4), 0.0, -4.0, 1.0)
-        m_grid = sigma_measure(1, np.log2(0.4), 0.0, -4.0, 1.0 - 1e-13)
-        assert m_grid == pytest.approx(m_exact, rel=1e-3)
+        m_near = sigma_measure(1, np.log2(0.4), 0.0, -4.0, 1.0 - 1e-13)
+        assert m_near == pytest.approx(m_exact, rel=1e-9)
 
     def test_empty_case(self):
         assert sigma_measure(2, 1.0, 0.0, 10.0, 0.75) == 0.0
@@ -210,14 +368,13 @@ class TestSigmaMeasure:
     def test_nondecreasing_in_j_and_trivially_bounded(self):
         k, s = 3, 0.75
         tau = -(1.4 * 2.0**k) ** (2 * s)
-        vals = [sigma_measure(k, j, 2.0, tau, s, num_points=100001)
+        vals = [sigma_measure(k, j, 2.0, tau, s)
                 for j in range(0, 8)]
         assert np.all(np.diff(vals) >= -1e-12)
         assert max(vals) <= 2.0 * 2.0**k + 2.0
 
     def test_sweep_uniform_constant(self):
-        sweep = sigma_measure_sweep(s_values=(0.6, 0.75, 0.9), k_max=6,
-                                    num_points=50001)
+        sweep = sigma_measure_sweep(s_values=(0.6, 0.75, 0.9), k_max=6)
         assert np.isfinite(sweep["cstar"])
         assert sweep["cstar"] < 8.0
 

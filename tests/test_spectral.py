@@ -6,6 +6,7 @@ import fslab.spectral
 from fslab.solver import SolveConfig, default_nonlinearity, gaussian_spectrum_data, picard_solve
 from fslab.spectral import (
     DuhamelOperator,
+    cached_symbol,
     Field,
     Trajectory,
     ZeroModeError,
@@ -21,6 +22,7 @@ from fslab.spectral import (
     make_grid,
     spacetime_dft,
     spacetime_idft,
+    symbol_cache_info,
 )
 
 from conftest import plane_wave, random_field
@@ -321,10 +323,25 @@ class TestDuhamelOperator:
         # a box length no other test uses, so every entry of this grid is new
         cfg = SolveConfig(n=2, m=16, box_length=6.5, s=0.75, num_frames=32)
         u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=1)
-        cache = fslab.spectral._SYMBOLS
-        before = set(cache._entries)
+        before = set(symbol_cache_info()["entries"])
         picard_solve(u0, default_nonlinearity(cfg.s), cfg, fsigma_diffs=False)
-        added = {key: cache._entries[key][1] for key in set(cache._entries) - before}
+        entries = symbol_cache_info()["entries"]
+        added = {key: entries[key] for key in set(entries) - before}
         frames_bytes = cfg.num_frames * cfg.grid.npoints * 16
-        assert ("duhamel_quadrature", 32, 16, cfg.dt, "simpson") in cache._entries
+        assert ("duhamel_quadrature", 32, 16, cfg.dt, "simpson") in entries
         assert all(size < frames_bytes for size in added.values()), added
+
+
+class TestSymbolCache:
+    def test_symbol_cache_info_counts_lookups(self):
+        key = ("symbol_cache_info_probe", 4)
+        before = symbol_cache_info()
+        for _ in range(3):
+            cached_symbol(key, lambda: np.zeros(4))
+        info = symbol_cache_info()
+        assert info["misses"] == before["misses"] + 1
+        assert info["hits"] == before["hits"] + 2
+        assert info["entries"][key] == 32
+        assert info["bytes"] == sum(info["entries"].values()) <= info["budget"]
+        info["entries"].clear()
+        assert key in symbol_cache_info()["entries"]
