@@ -8,6 +8,8 @@ dispersive benchmark's cutoff (annulus_dyadic, k = 0, s = 3/4):
   radial_integral.n{2,3}      one ridge `_radial_integral` at t = 1000 and
                               |x| = 2 s t, with the zero-phase scale given
   dispersive_peak.n{2,3}_t*   one `dispersive_peak` at t in {10, 100, 1000}
+  smooth_step                 the cut-off's `bumps.smooth_step` on 133 000
+                              points in [-0.5, 1.5]
 
 Usage:
 
@@ -16,7 +18,8 @@ Usage:
 
 Each timing runs in a fresh subprocess that imports fslab from one
 checkout's src/; bench/harness.py alternates the checkouts and writes the
-file (every sample, the median per label and the parent/change ratio).
+file (every sample by round, the median over the rounds of each round's
+minimum per label, and the parent/change ratio).
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ BESSEL_POINTS = 133_000
 def _worker(repeats: int) -> dict:
     """Samples in seconds per item, for the fslab on sys.path."""
     import numpy as np
-    from fslab import oscillatory
+    from fslab import bumps, oscillatory
 
     x = np.linspace(0.5, 1.9, BESSEL_POINTS) * 2000.0
     calls = {f"bessel_j.nu{nu:g}": functools.partial(oscillatory.bessel_j, nu, x)
              for nu in (0.0, 0.5)}
+    calls["smooth_step"] = functools.partial(bumps.smooth_step,
+                                             np.linspace(-0.5, 1.5, BESSEL_POINTS))
     for n in DIMENSIONS:
         spec = oscillatory.PhaseIntegralSpec(n=n, s=S, cutoff="annulus_dyadic", k=0)
         cutoff, rlo, rhi = spec.radial_cutoff()

@@ -4,6 +4,9 @@ Times, single-threaded, on the picard benchmark's problem (s = 3/4, the
 model nonlinearity, Simpson rule, epsilon 1, tolerance 1e-10) at
 (n, m, T) = (2, 32, 64) and (3, 32, 64):
 
+  fft_pair          D^{1/2} of the frames (apply_fractional_values): one
+                    forward and one inverse transform of the (T, m^n) batch
+                    and one multiply, the transform backend's share of a step
   duhamel_integral  one call on a random forcing
   free_evolution    one call on the solve's data
   duhamel_map       one public Picard step (builds its own time operator)
@@ -17,7 +20,8 @@ Usage:
 
 Each timing runs in a fresh subprocess that imports fslab from one
 checkout's src/; bench/harness.py alternates the checkouts and writes the
-file (every sample, the median per label and the parent/change ratio).
+file (every sample by round, the median over the rounds of each round's
+minimum per label, and the parent/change ratio).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 import harness
 
 SIZES = ((2, 32, 64), (3, 32, 64))
-ITEMS = ("duhamel_integral", "free_evolution", "duhamel_map", "picard_step")
+ITEMS = ("fft_pair", "duhamel_integral", "free_evolution", "duhamel_map", "picard_step")
 
 
 def _worker(repeats: int) -> dict:
@@ -54,6 +58,7 @@ def _worker(repeats: int) -> dict:
             steps.append(res.iterations + 1)
 
         calls = {
+            "fft_pair": lambda: spectral.apply_fractional_values(forcing.values, cfg.grid, 0.5),
             "duhamel_integral": lambda: spectral.duhamel_integral(forcing, cfg.s, rule="simpson"),
             "free_evolution": lambda: spectral.free_evolution(u0, t0, cfg.dt, frames, cfg.s),
             "duhamel_map": lambda: solver.duhamel_map(free, u0, spec, cfg),

@@ -6,9 +6,11 @@ and calls `main` with it.  Each round runs the worker in a fresh
 single-threaded subprocess that imports fslab from one checkout's src/.
 With --compare, the other checkout (label "parent") and this one (label
 "change") alternate within every round, so that slow phases of a shared
-machine fall on both.  The JSON file holds every sample, the median per
-label, the parent/change ratio of the medians, the checkouts' git state and
-the machine.
+machine fall on both.  An item's time in a round is the minimum of its
+repeats, which drops the repeats that a busy machine slowed; its time per
+label is the median of those minima over the rounds.  The JSON file holds
+every sample (by round), the median per label, the parent/change ratio of
+the medians, the checkouts' git state and the machine.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def main(argv, *, bench: str, description: str, script: str, worker, what: dict)
     for _ in range(args.rounds):
         for label, checkout in checkouts.items():
             for key, values in _run_worker(script, checkout, args.repeats).items():
-                samples[label].setdefault(key, []).extend(values)
+                samples[label].setdefault(key, []).append(values)
 
     report = {
         "bench": bench,
@@ -117,7 +119,8 @@ def main(argv, *, bench: str, description: str, script: str, worker, what: dict)
         "what": dict(what, rounds=args.rounds, repeats_per_round=args.repeats),
         "machine": _machine(),
         "checkouts": {label: _provenance(path) for label, path in checkouts.items()},
-        "median": {label: {key: _median(v) for key, v in per.items()}
+        "median": {label: {key: _median([min(values) for values in rounds])
+                           for key, rounds in per.items()}
                    for label, per in samples.items()},
         "samples": samples,
     }

@@ -28,18 +28,22 @@ __all__ = [
 def smooth_step(x):
     """C-infinity step based on exp(-1/x); 0 for x<=0, 1 for x>=1.
 
-    Satisfies smooth_step(x) + smooth_step(1-x) = 1 exactly.
+    Satisfies smooth_step(x) + smooth_step(1-x) = 1 exactly in exact
+    arithmetic, and to one rounding (2^-52) in floating point.
     """
     x = np.asarray(x, dtype=float)
-    lo = x <= 0.0
     hi = x >= 1.0
-    mid = ~(lo | hi)
-    out = np.zeros_like(x)
-    out[hi] = 1.0
-    xm = x[mid]
-    a = np.exp(-1.0 / xm)
-    b = np.exp(-1.0 / (1.0 - xm))
-    out[mid] = a / (a + b)
+    # NaN is neither <= 0 nor >= 1, so it lands in the band and stays NaN
+    mid = ~((x <= 0.0) | hi)
+    out = np.asarray(hi, dtype=float)
+    xm = x[mid]  # a copy, which the band arithmetic below overwrites
+    b = np.subtract(1.0, xm)
+    a = np.divide(-1.0, xm, out=xm)
+    np.exp(a, out=a)
+    np.divide(-1.0, b, out=b)
+    np.exp(b, out=b)
+    b += a
+    out[mid] = np.divide(a, b, out=a)
     if out.ndim == 0:
         return float(out)
     return out

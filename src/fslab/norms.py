@@ -55,6 +55,7 @@ from .spectral import (
     idft_phases,
     modulation_offset,
     offset_lattice,
+    partial_idft,
     spacetime_dft,
     spacetime_dft_from_spatial,
     spatial_spectrum,
@@ -218,7 +219,7 @@ def _lateral_l2_profile(values: np.ndarray, grid: Grid, dt: float, axis: int) ->
     by unimodular factors, so they drop out of the modulus.
     """
     n, num_frames = grid.n, values.shape[0]
-    h = np.fft.ifft(values, axis=1 + axis)
+    h = partial_idft(values, 1 + axis)
     other = tuple(a for a in range(values.ndim) if a != 1 + axis)
     sq = np.sum(_power(h), axis=other)
     scale = (num_frames / grid.m ** (n - 1) * grid.dx ** (n - 1) * dt

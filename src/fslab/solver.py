@@ -9,9 +9,11 @@ from the free evolution, with the time integral on the frame lattice and
 spectral derivatives.  picard_solve builds one spectral.DuhamelOperator per
 solve (the phase table e^{i t |xi|^{2s}} and the quadrature matrix) and
 applies it for the free term, every step and the final residual; the public
-duhamel_map builds its own and runs the same step.  Smallness of the data is
-measured in the lattice homogeneous Sobolev norm of order (n - 2s)/2 with
-the zero mode excluded.
+duhamel_map builds its own and runs the same step.  The solve keeps each
+iterate's Duhamel part also as its spectrum H, so D^beta of the iterate is
+one inverse transform of M_beta (P u0_hat + H) and takes no forward one.
+Smallness of the data is measured in the lattice homogeneous Sobolev norm of
+order (n - 2s)/2 with the zero mode excluded.
 """
 
 from __future__ import annotations
@@ -228,15 +230,18 @@ def gaussian_spectrum_data(grid: Grid, sigma: float, epsilon: float,
 
 
 def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm,
-                policy: str) -> np.ndarray:
+                policy: str, spectrum: np.ndarray | None = None) -> np.ndarray:
     """One trilinear term on an array of frames (leading time axis)."""
     conj = {"plain": (lambda a: a), "conjugate": np.conj}
-    f1 = conj[term.pattern[0]](vals)
-    f2 = conj[term.pattern[1]](vals)
-    f3 = conj[term.pattern[2]](vals)
-    inner = apply_fractional_values(f1 * f2, grid, -term.beta, policy)
-    outer = apply_fractional_values(f3, grid, term.beta, policy)
-    return term.coeff * inner * outer
+    c1, c2, c3 = (conj[p] for p in term.pattern)
+    # each factor lives only as long as the product that needs it
+    inner = apply_fractional_values(c1(vals) * c2(vals), grid, -term.beta, policy)
+    # the spectrum of vals is the spectrum of a plain u3 only
+    u3_spectrum = spectrum if term.pattern[2] == "plain" else None
+    outer = apply_fractional_values(c3(vals), grid, term.beta, policy, spectrum=u3_spectrum)
+    # coeff * inner * outer, in inner's array
+    np.multiply(term.coeff, inner, out=inner)
+    return np.multiply(inner, outer, out=inner)
 
 
 def apply_nonlinearity(u: Field, spec: NonlinearitySpec, s: float,
@@ -248,28 +253,43 @@ def apply_nonlinearity(u: Field, spec: NonlinearitySpec, s: float,
 
 
 def _nonlinearity_values(vals: np.ndarray, grid: Grid, spec: NonlinearitySpec,
-                         policy: str) -> np.ndarray:
-    out = np.zeros_like(vals)
+                         policy: str, spectrum: np.ndarray | None = None) -> np.ndarray:
+    """F(u) on an array of frames.
+
+    `spectrum`, when given, is the spectrum of `vals` that
+    DuhamelOperator.spectrum forms; D^beta of a plain u3 then takes no
+    forward transform.  Without it every D^beta transforms its input.
+    """
+    out = None
     for term in spec.terms:
-        out = out + _term_apply(vals, grid, term, policy)
-    return out
+        value = _term_apply(vals, grid, term, policy, spectrum)
+        out = value if out is None else np.add(out, value, out=out)
+    return np.zeros_like(vals) if out is None else out
 
 
 def duhamel_map(v: Trajectory, u0: Field, spec: NonlinearitySpec,
                 config: SolveConfig) -> Trajectory:
     """T v = free evolution of u0 plus the windowed Duhamel correction."""
     op = DuhamelOperator(v.grid, v.t0, v.dt, v.num_frames, config.s, config.quadrature)
-    return _duhamel_step(v, op, op.free(u0), spec, config)
+    return _duhamel_step(v, op, op.free(u0), spec, config)[0]
 
 
 def _duhamel_step(v: Trajectory, op: DuhamelOperator, free: Trajectory,
-                  spec: NonlinearitySpec, config: SolveConfig) -> Trajectory:
-    """T v given v's frame operator and `free`, the free evolution of the data."""
+                  spec: NonlinearitySpec, config: SolveConfig,
+                  spectrum: np.ndarray | None = None) -> tuple:
+    """(T v, H) given v's frame operator and `free`, the free evolution of the data.
+
+    H is the spectrum of the Duhamel part, T v = free + op.frames(H) (None
+    without nonlinear terms); `spectrum` is v's, as _nonlinearity_values
+    takes it.
+    """
     if not spec.terms:
-        return free
-    forcing = Trajectory(v.grid, v.t0, v.dt,
-                         _nonlinearity_values(v.values, v.grid, spec, config.zero_mode_policy))
-    return Trajectory(v.grid, v.t0, v.dt, free.values + op.integral(forcing).values)
+        return free, None
+    forcing = _nonlinearity_values(v.values, v.grid, spec, config.zero_mode_policy, spectrum)
+    H = op.integral_spectrum(forcing)
+    frames = op.frames(H)
+    frames += free.values
+    return Trajectory(v.grid, v.t0, v.dt, frames), H
 
 
 @dataclass
@@ -339,7 +359,16 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
     t0 = -config.t_half
     op = DuhamelOperator(g, t0, config.dt, config.num_frames, config.s, config.quadrature)
     free = op.free(u0)
-    current = free
+    data_hat = op.data_spectrum(u0)
+    needs_spectrum = any(term.pattern[2] == "plain" for term in spec.terms)
+    # The iterate is free + op.frames(H); only H is kept, and the iterate's
+    # spectrum P u0_hat + H is formed in H's array when a step needs it.
+    current, H = free, None
+
+    def step():
+        spectrum = op.spectrum(data_hat, H) if needs_spectrum else None
+        return _duhamel_step(current, op, free, spec, config, spectrum)
+
     ref = max(u0.l2_norm(), 1e-300)
     diffs, fdiffs, ratios = [], [], []
     converged = False
@@ -358,7 +387,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
         # An overflow anywhere in the step leaves inf or nan in the iterate or
         # in its distance to the previous one; both are checked right below.
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = _duhamel_step(current, op, free, spec, config)
+            nxt, H = step()
             diff_traj = Trajectory(g, t0, config.dt, nxt.values - current.values)
             d = diff_traj.linf_l2()
         if not (np.isfinite(d) and np.all(np.isfinite(nxt.values))):
@@ -378,7 +407,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
             raise diverged(f"Picard iteration diverging after {it} steps "
                            f"(last ratios {ratios[-3:]})", it)
 
-    residual = _linf_l2_inner(current, _duhamel_step(current, op, free, spec, config)) / ref
+    residual = _linf_l2_inner(current, step()[0]) / ref
     apriori = _linf_hdot_inner(current, config.sigma) / max(data_hdot, 1e-300)
     return SolveResult(
         trajectory=current, converged=converged, iterations=iterations,

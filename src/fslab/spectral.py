@@ -11,6 +11,12 @@ on the characteristic tau = -|xi|^{2s}, which is the convention the
 modulation projections are built on.  With these normalizations Parseval
 reads ||f||_{L2}^2 = sum |Ff|^2 / L^n (plus a 1/(T dt) factor in time).
 
+The transforms are numpy.fft's, called from this module only, so every
+transform runs on one thread.  An n-D transform writes all its axes into one
+result array (_fftn, _ifftn): left to itself numpy allocates a new result
+per axis, and on a (64, 32, 32) batch of frames the page faults of those
+allocations took longer than the transform.
+
 FFT order is decided in this module only.  Spectra cross the public boundary
 (dft_forward, dft_inverse, spatial_spectrum, idft_phases, SpacetimeSpectrum,
 and every multiplier built from Grid.freq_1d / Grid.freq_norm) in centred
@@ -29,7 +35,11 @@ check_zero_mode.
 The linear time evolution of a frame lattice is one DuhamelOperator: a phase
 table e^{i t |xi|^{2s}}, the signed cumulative quadrature rule as a (T, T)
 matrix, and the time cut-off.  free_evolution and duhamel_integral each
-build one; a Picard solve builds one and reuses it for every step.
+build one; a Picard solve builds one and reuses it for every step.  The
+solver carries each iterate's Duhamel part as the spectrum H that
+DuhamelOperator.integral_spectrum returns, so that D^beta of the iterate
+(apply_fractional_values with spectrum=DuhamelOperator.spectrum(...)) takes
+one inverse transform and no forward one.
 
 Symbols that depend only on the lattice (multipliers, modulation-weight
 tables, cone partitions) are memoized in one bounded cache, keyed by value
@@ -74,6 +84,7 @@ __all__ = [
     "spacetime_dft",
     "spacetime_dft_from_spatial",
     "spacetime_idft",
+    "partial_idft",
     "offset_lattice",
     "modulation_offset",
     "hdot_norm",
@@ -332,6 +343,24 @@ def make_grid(n: int, m: int, box_length: float) -> Grid:
     return Grid(n=int(n), m=int(m), box_length=float(box_length))
 
 
+def _fftn(values: np.ndarray, axes=None, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.fftn of `values` over `axes`, every axis written into one array.
+
+    The result is numpy's own, bit for bit.  `out` may be `values` itself
+    when the caller gives its input up.
+    """
+    if out is None:
+        out = np.empty(values.shape, np.result_type(values.dtype, 1j))
+    return np.fft.fftn(values, axes=axes, out=out)
+
+
+def _ifftn(values: np.ndarray, axes=None, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.ifftn of `values` in one result array; see _fftn."""
+    if out is None:
+        out = np.empty(values.shape, np.result_type(values.dtype, 1j))
+    return np.fft.ifftn(values, axes=axes, out=out)
+
+
 def spatial_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Unscaled transform sum_x e^{-i xi.x} f(x) over the trailing n axes, centred order.
 
@@ -339,14 +368,14 @@ def spatial_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
     times dx^n on a single field.
     """
     axes = tuple(range(values.ndim - grid.n, values.ndim))
-    return np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+    return np.fft.fftshift(_fftn(values, axes=axes), axes=axes)
 
 
 def idft_phases(grid: Grid) -> np.ndarray:
     """(m, m) matrix E[p, j] = e^{i xi_j x_p} / m, xi_j in centred order (read-only, cached).
 
     Contracting a centred spectrum with E along every spatial axis is the
-    unscaled inverse transform (np.fft.ifftn); contracting with a block of
+    unscaled inverse transform (ifftn); contracting with a block of
     columns evaluates it from the spectrum on that block alone.
     """
     def build():
@@ -366,7 +395,7 @@ def dft_forward(f: Field) -> Field:
 def dft_inverse(F: Field) -> Field:
     """Inverse transform with kernel e^{+i xi.x} (dxi/2pi)^n; exact roundtrip."""
     g = F.grid
-    vals = np.fft.ifftn(np.fft.ifftshift(F.values)) / g.dx**g.n
+    vals = _ifftn(np.fft.ifftshift(F.values)) / g.dx**g.n
     return Field(g, vals)
 
 
@@ -421,17 +450,21 @@ def check_zero_mode(values: np.ndarray, grid: Grid, beta: float, zero_mode_polic
 
 
 def apply_fractional_values(values: np.ndarray, grid: Grid, beta: float,
-                            zero_mode_policy: str = "zero_out") -> np.ndarray:
+                            zero_mode_policy: str = "zero_out",
+                            spectrum: np.ndarray | None = None) -> np.ndarray:
     """D^beta over the trailing n axes of `values` (a field or all frames at once).
 
     The zero-mode policy is checked on the data first; the multiplier is the
     cached FFT-native copy of fractional_multiplier, so nothing is shifted.
+    `spectrum`, when given, is the spectrum of `values` as
+    DuhamelOperator.spectrum returns it, and takes the place of the forward
+    transform.
     """
     _check_policy(zero_mode_policy)
     check_zero_mode(values, grid, beta, zero_mode_policy)
     native = cached_symbol(("fractional_native", grid, float(beta)),
                            lambda: np.fft.ifftshift(fractional_multiplier(grid, beta)))
-    return _apply_native_multiplier(values, grid, native)
+    return _apply_native_multiplier(values, grid, native, spectrum)
 
 
 def apply_fractional(f: Field, beta: float, zero_mode_policy: str = "zero_out") -> Field:
@@ -456,9 +489,17 @@ def apply_spatial_multiplier(values: np.ndarray, grid: Grid, mult: np.ndarray) -
     return _apply_native_multiplier(values, grid, np.fft.ifftshift(mult))
 
 
-def _apply_native_multiplier(values: np.ndarray, grid: Grid, native: np.ndarray) -> np.ndarray:
+def _apply_native_multiplier(values: np.ndarray, grid: Grid, native: np.ndarray,
+                             spectrum: np.ndarray | None = None) -> np.ndarray:
+    """ifftn(native * fftn(values)) over the trailing n axes; `spectrum` is fftn(values) if known."""
     axes = tuple(range(values.ndim - grid.n, values.ndim))
-    return np.fft.ifftn(native * np.fft.fftn(values, axes=axes), axes=axes)
+    if spectrum is None:
+        spectrum = _fftn(values, axes=axes)
+        product = np.multiply(native, spectrum, out=spectrum)
+    else:
+        product = native * spectrum
+    # the product is this call's own array, so the inverse may overwrite it
+    return _ifftn(product, axes, out=product)
 
 
 def _phase_table(times: np.ndarray, native_omega: np.ndarray) -> np.ndarray:
@@ -475,8 +516,8 @@ def evolve_spectrum(spec0: np.ndarray, grid: Grid, times: np.ndarray,
     (len(times),) + grid.shape.
     """
     phases = _phase_table(times, np.fft.ifftshift(omega))
-    return np.fft.ifftn(phases * np.fft.ifftshift(spec0)[None, ...],
-                        axes=tuple(range(1, grid.n + 1))) / grid.dx**grid.n
+    phases *= np.fft.ifftshift(spec0)[None, ...]
+    return _ifftn(phases, tuple(range(1, grid.n + 1)), out=phases) / grid.dx**grid.n
 
 
 def free_evolution(u0: Field, t0: float, dt: float, num_frames: int, s: float) -> Trajectory:
@@ -528,8 +569,18 @@ def spacetime_idft(S: SpacetimeSpectrum) -> Trajectory:
     vals = S.values * np.exp(-1j * taus * S.t0).reshape((-1,) + (1,) * g.n)
     vals = np.fft.fft(np.fft.ifftshift(vals, axes=0), axis=0) / (T * S.dt)
     spatial_axes = tuple(range(1, g.n + 1))
-    vals = np.fft.ifftn(np.fft.ifftshift(vals, axes=spatial_axes), axes=spatial_axes) / g.dx**g.n
+    vals = np.fft.ifftshift(vals, axes=spatial_axes)
+    vals = _ifftn(vals, spatial_axes, out=vals) / g.dx**g.n
     return Trajectory(g, S.t0, S.dt, vals)
+
+
+def partial_idft(values: np.ndarray, axis: int) -> np.ndarray:
+    """Unscaled inverse transform of a centred spectrum along one axis only.
+
+    The centring is not undone: it multiplies each point of the result by a
+    unimodular factor, so only the moduli of the result are meaningful.
+    """
+    return np.fft.ifft(values, axis=axis)
 
 
 def offset_lattice(grid: Grid, num_frames: int, dt: float, s: float) -> np.ndarray:
@@ -557,7 +608,7 @@ def _hdot_weight(grid: Grid, sigma: float) -> np.ndarray:
 def hdot_norms(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     """hdot_norm of every field over the trailing n axes, from one transform."""
     axes = tuple(range(values.ndim - grid.n, values.ndim))
-    spec = np.fft.fftn(values, axes=axes)
+    spec = _fftn(values, axes=axes)
     power = spec.real**2 + spec.imag**2
     scale = grid.dx ** (2 * grid.n) / grid.box_length**grid.n
     return np.sqrt(np.sum(_hdot_weight(grid, sigma) * power, axis=axes) * scale)
@@ -603,12 +654,17 @@ class DuhamelOperator:
 
         free(u0)         e^{i t D^{2s}} u0                     = ifftn(P * u0_hat)
         integral(F)      -i psi(t) int_0^t e^{i(t-t')D^{2s}} F(t') dt'
-                                                  = ifftn(-i psi P * (Q @ (conj(P) * F_hat)))
+                                                  = ifftn(H),
+        integral_spectrum(F)   H = -i psi P * (Q @ (conj(P) * F_hat))
 
     where Q is duhamel_quadrature (shared through the symbol cache) and psi
     the time cut-off, both built on the first integral, which needs t = 0 on
     a frame.  P is as large as a trajectory, so it lives as long as the
     operator and never enters the symbol cache.
+
+    A Picard iterate free(u0) + frames(H) has the spectrum
+    spectrum(data_spectrum(u0), H) = P * u0_hat + H, so a caller that keeps
+    H needs no forward transform of the iterate.
     """
 
     def __init__(self, grid: Grid, t0: float, dt: float, num_frames: int, s: float,
@@ -617,6 +673,7 @@ class DuhamelOperator:
         self.grid, self.t0, self.dt, self.rule = grid, t0, dt, rule
         self.times = t0 + dt * np.arange(num_frames)
         self.phases = _phase_table(self.times, np.fft.ifftshift(grid.freq_norm ** (2.0 * s)))
+        self._axes = tuple(range(1, grid.n + 1))
 
     @property
     def num_frames(self) -> int:
@@ -632,28 +689,51 @@ class DuhamelOperator:
         Q = duhamel_quadrature(self.num_frames, i0, self.dt, self.rule)
         return time_cutoff(times)[:, None] * Q
 
+    def data_spectrum(self, u0: Field) -> np.ndarray:
+        """u0_hat: the unscaled spectrum of the data, FFT-native order."""
+        return _fftn(u0.values)
+
+    def frames(self, spectrum: np.ndarray) -> np.ndarray:
+        """The frames whose unscaled FFT-native spectrum is `spectrum` (one inverse transform)."""
+        return _ifftn(spectrum, axes=self._axes)
+
+    def spectrum(self, data_hat: np.ndarray, duhamel: np.ndarray | None = None) -> np.ndarray:
+        """P * data_hat + duhamel: the spectrum of the frames free(u0) + frames(duhamel).
+
+        `data_hat` is data_spectrum(u0) and `duhamel` an integral_spectrum.
+        The sum is formed in the `duhamel` array, which the caller gives up.
+        """
+        free_part = self.phases * data_hat
+        if duhamel is None:
+            return free_part
+        duhamel += free_part
+        return duhamel
+
     def free(self, u0: Field) -> Trajectory:
         """The free evolution e^{i t D^{2s}} u0 on the frames."""
         g = self.grid
-        spec0 = np.fft.fftn(u0.values) * g.dx**g.n
-        frames = np.fft.ifftn(self.phases * spec0[None, ...],
-                              axes=tuple(range(1, g.n + 1))) / g.dx**g.n
+        spec0 = self.data_spectrum(u0) * g.dx**g.n
+        frames = self.frames(self.phases * spec0[None, ...]) / g.dx**g.n
         return Trajectory(g, self.t0, self.dt, frames)
 
-    def integral(self, forcing: Trajectory) -> Trajectory:
-        """The windowed Duhamel term of a forcing on the same frames."""
-        g, T = self.grid, self.num_frames
-        if forcing.values.shape[0] != T:
+    def integral_spectrum(self, forcing: np.ndarray) -> np.ndarray:
+        """H, the FFT-native spectrum of the Duhamel term of the forcing frames."""
+        T = self.num_frames
+        if forcing.shape[0] != T:
             raise ValueError("forcing frames do not match the operator's lattice")
-        axes = tuple(range(1, g.n + 1))
-        W = np.fft.fftn(forcing.values, axes=axes)
+        W = _fftn(forcing, axes=self._axes)
         W *= np.conj(self.phases)
         # the real (T, T) weights act on the real and imaginary parts alike
         H = (self._weights @ W.reshape(T, -1).view(np.float64)).view(np.complex128)
         H = H.reshape(W.shape)
         H *= self.phases
         H *= -1j
-        return Trajectory(g, forcing.t0, forcing.dt, np.fft.ifftn(H, axes=axes))
+        return H
+
+    def integral(self, forcing: Trajectory) -> Trajectory:
+        """The windowed Duhamel term of a forcing on the same frames."""
+        H = self.integral_spectrum(forcing.values)
+        return Trajectory(self.grid, forcing.t0, forcing.dt, self.frames(H))
 
 
 def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> Trajectory:

@@ -4,7 +4,10 @@ The spectral helpers are pinned bit for bit against the hand-written
 centred-order shift sequences they replaced, which are kept here as
 oracles.  The Duhamel integral is the exception: its matrix form sums the
 quadrature in a different order, so it is pinned to 1e-14 of the oracle's
-scale.  A source scan keeps fftshift / ifftshift inside spectral.py.
+scale.  The transforms are numpy.fft's, each written into one result
+array; that is pinned bit for bit against numpy's own call.  A source scan
+keeps fftshift / ifftshift and every transform inside spectral.py, on
+numpy.fft and without workers=.
 """
 
 import re
@@ -19,13 +22,19 @@ from fslab.bumps import time_cutoff
 from fslab.solver import (
     NonlinearitySpec,
     NonlinearityTerm,
+    SolveConfig,
+    _nonlinearity_values,
     apply_nonlinearity,
     default_nonlinearity,
+    gaussian_spectrum_data,
+    picard_solve,
 )
 from fslab.spectral import (
     Field,
     Trajectory,
     ZeroModeError,
+    _fftn,
+    _ifftn,
     apply_fractional,
     apply_spatial_multiplier,
     dft_forward,
@@ -192,6 +201,96 @@ def test_nonlinearity_matches_oracle(grid):
     for spec in specs:
         assert np.array_equal(apply_nonlinearity(u, spec, 0.75).values,
                               oracle_nonlinearity(u, spec))
+
+
+@pytest.mark.parametrize("shape, axes", [((16,), None), ((8, 8), None), ((4, 8, 8), (1, 2)),
+                                         ((4, 8, 8, 8), (1, 2, 3)), ((8, 16), (0,))],
+                         ids=["1d", "2d", "frames2", "frames3", "time"])
+def test_one_array_transforms_are_numpys(shape, axes):
+    rng = np.random.default_rng(len(shape))
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for ours, numpys in ((_fftn, np.fft.fftn), (_ifftn, np.fft.ifftn)):
+        assert np.array_equal(ours(vals, axes), numpys(vals, axes=axes))
+        assert np.array_equal(ours(vals.real, axes), numpys(vals.real, axes=axes))
+        own = vals.copy()
+        assert ours(own, axes, out=own) is own
+        assert np.array_equal(own, numpys(vals, axes=axes))
+
+
+@pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"n{g.n}")
+def test_nonlinearity_from_spectrum_is_bit_identical(grid):
+    vals = _values(grid, np.random.default_rng(8), 8)
+    spectrum = np.fft.fftn(vals, axes=tuple(range(1, grid.n + 1)))
+    kept = spectrum.copy()
+    specs = (default_nonlinearity(0.75),
+             NonlinearitySpec((NonlinearityTerm(0.3, ("plain", "plain", "plain"), 2.0),
+                               NonlinearityTerm(-0.25, ("conjugate", "plain", "conjugate"),
+                                                0.5 - 1j))))
+    for spec in specs:
+        assert np.array_equal(_nonlinearity_values(vals, grid, spec, "zero_out", spectrum),
+                              _nonlinearity_values(vals, grid, spec, "zero_out"))
+    assert np.array_equal(spectrum, kept)
+
+
+def test_picard_step_takes_five_frame_transforms(monkeypatch):
+    """Two D^beta, the forcing's forward transform and two inverses per step."""
+    cfg = SolveConfig(n=2, m=16, num_frames=32, epsilon=0.5, tolerance=1e-14)
+    u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=1)
+    frame_shape = (cfg.num_frames,) + cfg.grid.shape
+    counts = {}
+
+    def counting(name, inner):
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == frame_shape:
+                counts[name] = counts.get(name, 0) + 1
+            return inner(x, *args, **kwargs)
+        return counted
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    per_solve = []
+    for iterations in (1, 2):
+        counts.clear()
+        cfg.max_iterations = iterations
+        res = picard_solve(u0, default_nonlinearity(cfg.s), cfg, fsigma_diffs=False)
+        assert res.iterations == iterations and not res.converged
+        per_solve.append(dict(counts))
+    # the free evolution takes one inverse, and every step, the final
+    # residual's included, two forward transforms and three inverses
+    assert per_solve[0] == {"fftn": 2 * 2, "ifftn": 1 + 3 * 2}
+    assert per_solve[1] == {"fftn": 2 * 3, "ifftn": 1 + 3 * 3}
+
+
+# A numpy.fft transform (the shifts are permutations and stay allowed),
+# scipy.fft in any spelling, and a workers= argument.
+NUMPY_TRANSFORM = re.compile(r"\b(?:np|numpy)\.fft\.i?[rh]?fft[n2]?\b"
+                             r"|\bfrom\s+numpy(?:\.fft)?\s+import\b.*\bi?[rh]?fft[n2]?\b")
+SCIPY_FFT = re.compile(r"\bscipy\.fft\b|\bfrom\s+scipy\s+import\b.*\bfft\b")
+WORKERS = re.compile(r"\bworkers\s*=")
+
+
+def test_backend_scan_patterns():
+    for line in ("np.fft.fftn(a)", "numpy.fft.irfft(a)", "from numpy.fft import ifftn",
+                 "from numpy import fft"):
+        assert NUMPY_TRANSFORM.search(line), line
+    for line in ("np.fft.fftshift(a)", "np.fft.ifftshift(a, axes=0)", "_fftn(a, axes)"):
+        assert not NUMPY_TRANSFORM.search(line), line
+    for line in ("import scipy.fft", "from scipy.fft import fftn", "from scipy import fft"):
+        assert SCIPY_FFT.search(line), line
+    assert not SCIPY_FFT.search("from scipy.integrate import cumulative_simpson")
+    assert WORKERS.search("scipy.fft.fftn(a, workers=2)")
+
+
+def test_one_transform_backend():
+    package = Path(fslab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if (SCIPY_FFT.search(line) or WORKERS.search(line)
+                    or (path.name != "spectral.py" and NUMPY_TRANSFORM.search(line))):
+                offenders.append(f"{path.name}:{lineno}")
+    assert offenders == [], ("transforms are numpy.fft's, called from spectral.py only and "
+                             f"single-threaded: {offenders}")
 
 
 def test_fft_shifts_only_in_spectral_module():

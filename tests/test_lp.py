@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fslab.bumps import chi_box, eta_bump, phi_shell
+from fslab.bumps import chi_box, eta_bump, phi_shell, smooth_step
 from fslab.lp import (
     ProjectionSpec,
     box_centers,
@@ -23,6 +23,54 @@ from fslab.spectral import (
 )
 
 from conftest import plane_wave, random_field
+
+
+def oracle_smooth_step(x):
+    """smooth_step as first written: masks, a fancy-index copy and fresh temporaries."""
+    x = np.asarray(x, dtype=float)
+    lo = x <= 0.0
+    hi = x >= 1.0
+    mid = ~(lo | hi)
+    out = np.zeros_like(x)
+    out[hi] = 1.0
+    xm = x[mid]
+    a = np.exp(-1.0 / xm)
+    b = np.exp(-1.0 / (1.0 - xm))
+    out[mid] = a / (a + b)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+class TestSmoothStep:
+    def test_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-0.5, 1.5, 100_000), rng.uniform(0.0, 1.0, 33_000),
+                            [0.0, 1.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0 - 2**-53]])
+        kept = x.copy()
+        with np.errstate(over="ignore"):   # -1 / 5e-324 overflows to -inf on both sides
+            got, want = smooth_step(x), oracle_smooth_step(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[-3]) and got.dtype == float
+        assert np.array_equal(x, kept, equal_nan=True)   # the input is not written
+        block = x[:1200].reshape(3, 20, 20)[:, ::2, :]   # non-contiguous, 3-D
+        assert np.array_equal(smooth_step(block), oracle_smooth_step(block))
+
+    def test_scalars_and_zero_d(self):
+        for value in (0.0, 1.0, 0.25, 0.5, -3, 7, np.inf, -np.inf):
+            for arg in (value, np.array(value), np.float64(value)):
+                got = smooth_step(arg)
+                assert type(got) is float and got == oracle_smooth_step(arg)
+        assert np.isnan(smooth_step(np.nan)) and np.isnan(smooth_step(np.array(np.nan)))
+
+    def test_reflection_identity(self):
+        # a / (a + b) + b / (b + a) is 1 to one rounding; on dyadic points
+        # 1 - x is exact, so that rounding is all there is
+        for x in (np.random.default_rng(12).uniform(-0.5, 1.5, 10_000),
+                  np.arange(-64, 1089) / 1024):
+            total = smooth_step(x) + smooth_step(1.0 - x)
+            assert np.max(np.abs(total - 1.0)) <= 2.0**-52
+            assert np.array_equal(total, oracle_smooth_step(x) + oracle_smooth_step(1.0 - x))
 
 
 class TestBumps:

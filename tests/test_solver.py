@@ -205,13 +205,23 @@ class TestPicard:
         assert len(built) == 1 and len(freed) == 1
         monkeypatch.undo()
         assert res.iterations > 5
-        # the same iteration spelled with the public map, which rebuilds the
-        # operator and the free evolution on every call, gives the same bits
+        # The same iteration spelled with the public map, which rebuilds the
+        # operator and the free evolution on every call, stops at the same
+        # step.  The map transforms its physical input where the solve reads
+        # D^beta u from the spectrum it carries, so the two agree to
+        # rounding, not bit for bit.
         current = free_evolution(u0, -cfg.t_half, cfg.dt, cfg.num_frames, cfg.s)
-        for _ in range(res.iterations):
-            current = duhamel_map(current, u0, spec, cfg)
-        assert np.array_equal(res.trajectory.values, current.values)
-        assert res.duhamel_residual == residual_check(current, u0, spec, cfg)
+        ref = u0.l2_norm()
+        for iterations in range(1, cfg.max_iterations + 1):
+            nxt = duhamel_map(current, u0, spec, cfg)
+            diff = Trajectory(cfg.grid, current.t0, cfg.dt, nxt.values - current.values)
+            current = nxt
+            if diff.linf_l2() <= cfg.tolerance * ref:
+                break
+        assert iterations == res.iterations
+        scale = np.max(np.abs(current.values))
+        assert np.max(np.abs(res.trajectory.values - current.values)) <= 1e-14 * scale
+        assert abs(res.duhamel_residual - residual_check(current, u0, spec, cfg)) <= 1e-14
 
     def test_log_linear_contraction_tail(self):
         # larger data gives a visible geometric tail before hitting tolerance

@@ -311,6 +311,27 @@ class TestDuhamelOperator:
         assert np.array_equal(op.integral(forcing).values,
                               duhamel_integral(forcing, 0.75, rule="simpson").values)
 
+    def test_spectrum_is_the_transform_of_free_plus_duhamel_frames(self):
+        grid = make_grid(2, 8, 2 * np.pi)
+        rng = np.random.default_rng(4)
+        u0 = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        op = DuhamelOperator(grid, -1.0, 0.0625, 32, 0.75, "simpson")
+        forcing = rng.standard_normal((32,) + grid.shape) + 0j
+        H = op.integral_spectrum(forcing)
+        frames = op.free(u0).values + op.frames(H)
+        assert np.array_equal(op.frames(H), op.integral(Trajectory(grid, -1.0, 0.0625,
+                                                                    forcing)).values)
+        expected = np.fft.fftn(frames, axes=(1, 2))
+        data_hat = op.data_spectrum(u0)
+        scale = np.max(np.abs(expected))
+        free_only = op.spectrum(data_hat)
+        assert np.max(np.abs(free_only - np.fft.fftn(op.free(u0).values, axes=(1, 2)))) \
+            <= 1e-14 * scale
+        # the sum is formed in H's array
+        total = op.spectrum(data_hat, H)
+        assert total is H
+        assert np.max(np.abs(total - expected)) <= 1e-14 * scale
+
     def test_rejects_bad_rule_and_off_lattice_zero(self):
         grid = make_grid(1, 8, 2 * np.pi)
         with pytest.raises(ValueError, match="quadrature rule"):
