@@ -7,7 +7,8 @@ P_{k,l} built from translated chi cutoffs, and cone cutoffs theta_e from a
 finite partition of unity on the unit sphere.
 
 The grid-only symbols (dyadic shells, the cone partition table, the
-modulation-weight table) come from the one symbol cache in spectral.py.
+modulation-weight table and the per-shell weight tables of the X_k / Y_k^e
+kernels) come from the one symbol cache in spectral.py.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ __all__ = [
     "modulation_split",
     "modulation_weights",
     "max_modulation_index",
+    "ShellTable",
+    "shell_table",
+    "shell_gate",
+    "cone_gate",
 ]
 
 
@@ -313,9 +318,11 @@ def max_modulation_index(grid: Grid, dt: float, num_frames: int, s: float) -> in
 
 
 class ModulationWeights(NamedTuple):
-    """Squared Q_j symbols on one (tau, xi) lattice, for X_k-type reductions.
+    """Squared Q_j symbols on one (tau, xi) lattice, resolved in xi, for X_k-type reductions.
 
-    `shells` is the sparse (j_max + 1) x (T m^n) matrix of Q_j(r)^2.  phi(r / 2^j)
+    `shells` is the sparse ((j_max + 1) m^n) x (T m^n) matrix whose row
+    j m^n + xi holds Q_j(r)^2 at the columns tau m^n + xi, so that one
+    product with |f^|^2 gives sum_tau |Q_j f^|^2 at every (j, xi).  phi(r / 2^j)
     is nonzero only for 0.75 * 2^j < |r| < 1.9 * 2^j and eta(r) only for
     |r| < 1.9, so each offset r meets at most two consecutive shells: the
     matrix holds at most two entries per column, O(T m^n) however large
@@ -327,9 +334,13 @@ class ModulationWeights(NamedTuple):
     shells: scipy.sparse.csr_array
     remainder: np.ndarray | None
 
+    def resolved_sums(self, power: np.ndarray) -> np.ndarray:
+        """sum_tau |Q_j f^|^2 at every (j, xi), shape (j_max + 1, m^n), from power = |f^|^2."""
+        return (self.shells @ power.ravel()).reshape(self.j_max + 1, -1)
+
     def shell_sums(self, power: np.ndarray) -> np.ndarray:
-        """sum |Q_j f|^2 for j = 0..j_max, from power = |f^|^2 on the lattice."""
-        return self.shells @ power.ravel()
+        """sum |Q_j f|^2 for j = 0..j_max: the row sums of resolved_sums."""
+        return self.resolved_sums(power).sum(axis=1)
 
 
 def modulation_weights(grid: Grid, num_frames: int, dt: float, s: float) -> ModulationWeights:
@@ -340,22 +351,120 @@ def modulation_weights(grid: Grid, num_frames: int, dt: float, s: float) -> Modu
 
 def _build_modulation_weights(grid: Grid, num_frames: int, dt: float,
                               s: float) -> ModulationWeights:
-    r = offset_lattice(grid, num_frames, dt, s)
+    r = offset_lattice(grid, num_frames, dt, s).ravel()
+    size = np.abs(r)
     j_max = max_modulation_index(grid, dt, num_frames, s)
+    npoints = grid.npoints
+    # int32 indices where they fit: half the index memory of the default int64
+    index = np.int32 if 2 * r.size < 2**31 else np.int64
     rows, cols, weights = [], [], []
     mult_sum = np.zeros_like(r)
     for j in range(j_max + 1):
-        mult = modulation_shell(r, j)
-        mult_sum += mult
-        hit = np.flatnonzero(mult)
-        rows.append(np.full(hit.size, j))
-        cols.append(hit)
-        weights.append(mult.ravel()[hit] ** 2)
+        # Q_j vanishes exactly off 2^{j-1} < |r| < 2^{j+1} (j >= 1; |r| < 2 for
+        # j = 0), so only those offsets are evaluated
+        band = size < 2.0 ** (j + 1)
+        if j > 0:
+            band &= size > 2.0 ** (j - 1)
+        candidates = np.flatnonzero(band)
+        mult = modulation_shell(r[candidates], j)
+        mult_sum[candidates] += mult
+        nonzero = mult != 0.0
+        hit = candidates[nonzero]
+        rows.append((j * npoints + hit % npoints).astype(index))
+        cols.append(hit.astype(index))
+        weights.append(mult[nonzero] ** 2)
     shells = scipy.sparse.csr_array(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(j_max + 1, r.size))
-    remainder = (1.0 - mult_sum) ** 2
+        shape=((j_max + 1) * npoints, r.size))
+    remainder = ((1.0 - mult_sum) ** 2).reshape((num_frames,) + grid.shape)
     return ModulationWeights(j_max, shells, remainder if np.any(remainder) else None)
+
+
+def shell_gate(grid: Grid, k: int) -> np.ndarray:
+    """Support gate of X_k: 2^{k-1} <= |xi| <= 2^{k+1}, the closed hull of supp phi_k."""
+    norm = grid.freq_norm
+    return (norm >= 2.0 ** (k - 1)) & (norm <= 2.0 ** (k + 1))
+
+
+def cone_gate(grid: Grid, k: int, axis: int, sign: float, margin: float) -> np.ndarray:
+    """Cone part of the Y_k^e gate, e = sign * (unit vector of `axis`):
+    <xi, e> > 0 and <xi, e> >= margin 2^{k-1}, the floor matching the lower
+    edge of the shell."""
+    dots = sign * grid.freq_component(axis) * np.ones(grid.shape)
+    return (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
+
+
+class ShellTable(NamedTuple):
+    """The weights of every X_k and Y_k^e of one shell, on the points they live on.
+
+    `index` selects the table's points from the flattened m^n lattice
+    (centred order): for a localized table the points where phi_k is
+    nonzero (all inside 1/2 < |xi| / 2^k < 2), so a lattice point lies in at
+    most two tables; slice(None) for the whole lattice with no shell bump.  Branch 0 is the
+    all-X branch, branch 1 + e the atlas cone e; `axes[e]` is that cone's
+    lattice axis.  `amplitude[e]` is phi_k theta_e (theta_e unlocalized).
+    `weights[0]` holds the squared amplitudes of every branch (phi_k^2, then
+    phi_k^2 theta_e^2), `weights[1]` those off the X gate shell_gate(k) and
+    `weights[2]` those off the Y gate, shell_gate & cone_gate (shell_gate for
+    branch 0): against sum_tau |S|^2 they give each branch's mass and the
+    masses its support gates reject.  `lines[a]` packs the table's points
+    into the lattice lines along axis a that hold any of them: the i-th
+    point goes to row lines[a, i] = l m + xi_a of a (num_lines[a] m)-row
+    array, l the rank of its line, so a transform along a skips the empty
+    lines.
+    """
+
+    index: np.ndarray | slice
+    axes: tuple
+    amplitude: np.ndarray
+    weights: np.ndarray
+    lines: np.ndarray
+    num_lines: tuple
+
+
+def shell_table(grid: Grid, k: int, atlas: ConeAtlas | None, localized: bool) -> ShellTable:
+    """The ShellTable of shell k and `atlas` (None: the all-X branch only), cached."""
+    atlas_key = None if atlas is None else (
+        atlas.directions.shape, atlas.directions.tobytes(), atlas.plateau_cos,
+        atlas.support_cos, atlas.margin)
+    key = ("shell_table", grid, int(k), atlas_key, bool(localized))
+    return cached_symbol(key, lambda: _build_shell_table(grid, k, atlas, localized))
+
+
+def _build_shell_table(grid: Grid, k: int, atlas: ConeAtlas | None,
+                       localized: bool) -> ShellTable:
+    if localized:
+        bump = dyadic_shell(grid, k).ravel()
+        index = np.flatnonzero(bump)
+        bump = bump[index]
+    else:
+        index, bump = slice(None), np.ones(grid.npoints)
+    if atlas is None:
+        directions, thetas = np.zeros((0, grid.n)), np.zeros((0, grid.npoints))
+    else:
+        directions = atlas.directions
+        thetas = atlas.multipliers(grid).reshape(atlas.num_directions, -1)
+    amplitude = bump * thetas[:, index]
+    squares = np.concatenate([bump[None, :], amplitude]) ** 2
+    x_gate = shell_gate(grid, k)
+    y_gates = [x_gate]
+    axes = []
+    for e in directions:
+        axis = int(np.argmax(np.abs(e)))
+        axes.append(axis)
+        y_gates.append(x_gate & cone_gate(grid, k, axis, float(np.sign(e[axis])), atlas.margin))
+    off_y = ~np.stack(y_gates).reshape(len(y_gates), -1)[:, index]
+    weights = np.stack([squares, squares * ~x_gate.ravel()[index], squares * off_y])
+    coords = np.unravel_index(np.arange(grid.npoints)[index], grid.shape)
+    lines, num_lines = [], []
+    for a in range(grid.n):
+        perp = [c for b, c in enumerate(coords) if b != a]
+        line = (np.ravel_multi_index(perp, (grid.m,) * (grid.n - 1)) if perp
+                else np.zeros_like(coords[a]))
+        ranks, rank = np.unique(line, return_inverse=True)
+        lines.append(rank * grid.m + coords[a])
+        num_lines.append(ranks.size)
+    return ShellTable(index, tuple(axes), amplitude, weights, np.stack(lines), tuple(num_lines))
 
 
 def modulation_split(u: Trajectory, s: float, j_max: int | None = None,

@@ -5,11 +5,18 @@ cone-localized Y_k^e of the Schroedinger operator in mixed L^1_e L^2, the
 two-branch upper bound for the infimum norm Z_k, and the dyadically
 weighted solution / forcing norms F^sigma and N^sigma.
 
-The kernels do no repeated symbol work.  X_k reads the spectrum S only
-through |S|^2: every ||Q_j f||^2 is one reduction of |S|^2 against the
-cached modulation-weight table (lp.modulation_weights).  Y_k^e needs only
-an inverse FFT along e, by discrete Parseval over (x_perp, t).  Cone,
-shell and Schroedinger symbols come from the one symbol cache.  The box
+The kernels do no repeated symbol work.  One call of F^sigma, N^sigma or
+Z_k forms |S|^2 of its spectrum S once and makes one sparse reduction,
+A[j, xi] = sum_tau Q_j^2 |S|^2, against the cached xi-resolved modulation
+table (lp.modulation_weights).  Every X_k of the call, the all-X branch and
+each cone theta_e of every shell k, is then one dense product of A with the
+shell's cached weight table (lp.shell_table: phi_k^2 and phi_k^2 theta_e^2
+on supp phi_k), and the same weights against sum_tau |S|^2 give the support
+gates' masses.  Y_k^e needs only an inverse FFT along e, by discrete
+Parseval over (x_perp, t): the call forms symbol * S once, with the
+Schroedinger symbol broadcast from a T-vector and the cached |xi|^{2s}, and
+each Y_k^e transforms (phi_k theta_e) * (symbol * S) over the lattice lines
+along e that meet the shell.  Each table is fetched once per call.  The box
 sums of the maximal estimate share one spatial transform per draw: boxes
 holding one lattice point per axis are summed in closed form, the others
 invert the transform over their own support only.
@@ -31,12 +38,16 @@ import numpy as np
 from . import bumps
 from .lp import (
     ConeAtlas,
+    ShellTable,
     box_lattice,
     cone_cutoff_values,
+    cone_gate,
     dyadic_shell,
     max_modulation_index,
     modulation_shell,
     modulation_weights,
+    shell_gate,
+    shell_table,
 )
 from .reports import NormReport, RatioReport
 from .spectral import (
@@ -165,50 +176,20 @@ def _power(values: np.ndarray) -> np.ndarray:
     return values.real**2 + values.imag**2
 
 
-def _shell_indicator(grid: Grid, k: int) -> np.ndarray:
-    norm = grid.freq_norm
-    return (norm >= 2.0 ** (k - 1)) & (norm <= 2.0 ** (k + 1))
-
-
-def _relative_mass_outside(power_xi: np.ndarray, indicator: np.ndarray) -> float:
-    """sqrt(mass off `indicator` / total mass), from the tau-summed power."""
-    total = float(np.sum(power_xi))
-    if total == 0.0:
-        return 0.0
-    return np.sqrt(float(np.sum(power_xi[~indicator])) / total)
-
-
-def _xk_from_power(power: np.ndarray, power_xi: np.ndarray, grid: Grid, dt: float,
-                   k: int, s: float):
-    """X_k = sum_j 2^{j/2} ||Q_j f||_{L2} + penalized remainder, or inf.
-
-    power = |S|^2 on the (tau, xi) lattice and power_xi its sum over tau;
-    each ||Q_j f||^2 is one reduction against the cached modulation weights.
-    """
-    if _relative_mass_outside(power_xi, _shell_indicator(grid, k)) > SUPPORT_TOL:
-        return float("inf")
-    if float(np.sum(power_xi)) == 0.0:
-        return 0.0
-    num_frames = power.shape[0]
-    c = grid.box_length**grid.n * num_frames * dt
-    table = modulation_weights(grid, num_frames, dt, s)
-    pieces = np.sqrt(table.shell_sums(power) / c)
-    value = float(np.dot(2.0 ** (np.arange(table.j_max + 1) / 2.0), pieces))
-    if table.remainder is not None:
-        rem = float(np.sqrt(np.sum(table.remainder * power) / c))
-        value += 2.0 ** (table.j_max / 2.0) * rem
-    return value
-
-
-def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float):
-    power = _power(S.values)
-    return _xk_from_power(power, power.sum(axis=0), S.grid, S.dt, k, s)
-
-
 def _schrodinger_symbol(grid: Grid, num_frames: int, dt: float, s: float) -> np.ndarray:
-    """(i d_t + D^{2s} + i) as the space-time multiplier -(tau+|xi|^{2s}) + i (cached)."""
-    key = ("schrodinger", grid, int(num_frames), float(dt), float(s))
-    return cached_symbol(key, lambda: -offset_lattice(grid, num_frames, dt, s) + 1j)
+    """(i d_t + D^{2s} + i) as the space-time multiplier -(tau+|xi|^{2s}) + i.
+
+    A T-vector broadcast against the cached |xi|^{2s}; the (T, m^n) result
+    is formed per call and never cached.
+    """
+    return -offset_lattice(grid, num_frames, dt, s) + 1j
+
+
+def _lateral_scale(grid: Grid, num_frames: int, dt: float) -> float:
+    """Weight turning sum |partial inverse|^2 over (x_perp, t) into ||.||^2_{L^2(x_perp, t)}."""
+    n = grid.n
+    return (num_frames / grid.m ** (n - 1) * grid.dx ** (n - 1) * dt
+            / (num_frames * dt * grid.dx**n) ** 2)
 
 
 def _lateral_l2_profile(values: np.ndarray, grid: Grid, dt: float, axis: int) -> np.ndarray:
@@ -218,30 +199,127 @@ def _lateral_l2_profile(values: np.ndarray, grid: Grid, dt: float, axis: int) ->
     back.  The time phase e^{-i tau t0} and the centring shifts multiply g
     by unimodular factors, so they drop out of the modulus.
     """
-    n, num_frames = grid.n, values.shape[0]
     h = partial_idft(values, 1 + axis)
     other = tuple(a for a in range(values.ndim) if a != 1 + axis)
     sq = np.sum(_power(h), axis=other)
-    scale = (num_frames / grid.m ** (n - 1) * grid.dx ** (n - 1) * dt
-             / (num_frames * dt * grid.dx**n) ** 2)
-    return np.sqrt(sq * scale)
+    return np.sqrt(sq * _lateral_scale(grid, values.shape[0], dt))
 
 
-def _cone_gate_indicator(grid: Grid, k: int, axis: int, sign: float, margin: float) -> np.ndarray:
-    dots = sign * grid.freq_component(axis) * np.ones(grid.shape)
-    return (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
-
-
-def _yk_from_values(values: np.ndarray, power_xi: np.ndarray, grid: Grid, dt: float,
-                    k: int, axis: int, sign: float, s: float, margin: float):
-    if float(np.sum(power_xi)) == 0.0:
-        return 0.0
-    gate = _shell_indicator(grid, k) & _cone_gate_indicator(grid, k, axis, sign, margin)
-    if _relative_mass_outside(power_xi, gate) > SUPPORT_TOL:
-        return float("inf")
-    symbol = _schrodinger_symbol(grid, values.shape[0], dt, s)
-    profile = _lateral_l2_profile(symbol * values, grid, dt, axis)
+def _yk_from_profile(profile: np.ndarray, grid: Grid, k: int, s: float) -> float:
+    """Y_k^e = 2^{-k(2s-1)/2} ||.||_{L^1_e L^2} from the lateral L^2 profile along e."""
     return 2.0 ** (-k * (2.0 * s - 1.0) / 2.0) * float(np.sum(profile) * grid.dx)
+
+
+def _gates_fail(outside, mass) -> np.ndarray:
+    """sqrt(mass off the gate / mass) > SUPPORT_TOL, per branch; no mass passes."""
+    mass = np.asarray(mass, dtype=float)
+    ratio = np.divide(outside, mass, out=np.zeros_like(mass), where=mass > 0.0)
+    return np.sqrt(ratio) > SUPPORT_TOL
+
+
+class _Reductions:
+    """What every X_k and Y_k^e of one spectrum S reads, formed once per call.
+
+    `power_xi` is sum_tau |S|^2 and `resolved` the modulation reduction
+    sum_tau Q_j^2 |S|^2 at every (j, xi), from one product with the cached
+    modulation table (`remainder`: the same against the table's remainder,
+    or None).  `symbolic` is the Schroedinger symbol times S, formed only
+    when a Y_k^e may be needed, and `scratch` the zeroed array the lattice
+    lines of a Y_k^e are packed into; both are xi-major, shape (m^n, T), so
+    that a lattice point's frames are one row.
+    """
+
+    def __init__(self, S: SpacetimeSpectrum, s: float, with_symbol: bool):
+        g, num_frames = S.grid, S.num_frames
+        flat = S.values.reshape(num_frames, -1)
+        power = _power(flat)
+        table = modulation_weights(g, num_frames, S.dt, s)
+        self.grid, self.dt, self.s, self.j_max = g, S.dt, s, table.j_max
+        self.scale = g.box_length**g.n * num_frames * S.dt
+        self.power_xi = power.sum(axis=0)
+        self.resolved = table.resolved_sums(power)
+        self.remainder = None
+        if table.remainder is not None:
+            self.remainder = np.sum(table.remainder.reshape(num_frames, -1) * power, axis=0)
+        self.symbolic = self.scratch = None
+        if with_symbol:
+            symbol = _schrodinger_symbol(g, num_frames, S.dt, s).reshape(num_frames, -1)
+            self.symbolic = np.ascontiguousarray(np.multiply(symbol, flat, out=symbol).T)
+            self.scratch = np.zeros_like(self.symbolic)
+
+    def masses(self, table: ShellTable) -> np.ndarray:
+        """(mass, mass off the X gate, mass off the Y gate) per branch, shape (3, 1 + K)."""
+        return table.weights @ self.power_xi[table.index]
+
+    def xk_values(self, table: ShellTable, masses: np.ndarray) -> np.ndarray:
+        """X_k of every branch: sum_j 2^{j/2} ||Q_j f||_{L2} + penalized
+        remainder, 0 without mass, inf where the X gate fails."""
+        sums = self.resolved[:, table.index] @ table.weights[0].T
+        value = 2.0 ** (np.arange(self.j_max + 1) / 2.0) @ np.sqrt(sums / self.scale)
+        if self.remainder is not None:
+            rem = table.weights[0] @ self.remainder[table.index]
+            value += 2.0 ** (self.j_max / 2.0) * np.sqrt(rem / self.scale)
+        mass, off_x = masses[0], masses[1]
+        return np.where(_gates_fail(off_x, mass), np.inf, np.where(mass == 0.0, 0.0, value))
+
+    def yk_value(self, table: ShellTable, symbolic: np.ndarray, k: int, cone: int) -> float:
+        """Y_k^e of cone `cone`, from `symbolic` = self.symbolic[table.index].
+
+        Only the lattice lines along e that hold table points are packed
+        and transformed: the empty ones add nothing to the profile.
+        """
+        axis = table.axes[cone]
+        num_frames = self.symbolic.shape[1]
+        rows, lines = table.lines[axis], table.num_lines[axis]
+        packed = self.scratch[:lines * self.grid.m]
+        packed[rows] = symbolic * table.amplitude[cone][:, None]
+        h = partial_idft(packed.reshape(lines, self.grid.m, num_frames), 1)
+        parts = h.view(np.float64)  # real and imaginary parts side by side
+        sq = np.einsum("ijk,ijk->j", parts, parts)
+        packed[rows] = 0.0
+        profile = np.sqrt(sq * _lateral_scale(self.grid, num_frames, self.dt))
+        return _yk_from_profile(profile, self.grid, k, self.s)
+
+    def zk(self, k: int, table: ShellTable):
+        """Two-branch upper bound for the Z_k infimum; returns (value, metadata).
+
+        Candidates: the all-X branch X_k(f), and the cone split
+        sum_e min(X_k(theta_e f), Y_k^e(theta_e f)), f the spectrum under
+        the table's shell bump.  An upper bound by the definition of the
+        infimum; never claimed to be the infimum itself.
+        """
+        masses = self.masses(table)
+        x_values = self.xk_values(table, masses)
+        y_fails = _gates_fail(masses[2], masses[0])
+        branches = {"all_x": float(x_values[0])}
+        meta = {"branch_values": branches, "cone_choices": None}
+        total_mass = masses[0, 0]
+        if table.axes and total_mass > 0.0:
+            symbolic = self.symbolic[table.index]
+            cone_total = 0.0
+            choices = []
+            for cone in range(len(table.axes)):
+                # roundoff crumbs from the partition normalization count as empty
+                if masses[0, 1 + cone] <= 1e-24 * total_mass:
+                    choices.append("empty")
+                    continue
+                xe = float(x_values[1 + cone])
+                ye = (float("inf") if y_fails[1 + cone]
+                      else self.yk_value(table, symbolic, k, cone))
+                choices.append("Y" if ye <= xe else "X")
+                cone_total += min(xe, ye)
+            branches["cone_split"] = cone_total
+            meta["cone_choices"] = choices
+        value = min(branches.values())
+        meta["winner"] = min(branches, key=branches.get)
+        return value, meta
+
+
+def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float) -> float:
+    """X_k of the whole spectrum, inf when its mass leaves the shell gate."""
+    red = _Reductions(S, s, with_symbol=False)
+    table = shell_table(S.grid, k, None, localized=False)
+    return float(red.xk_values(table, red.masses(table))[0])
 
 
 def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float, margin: float = 0.5):
@@ -258,45 +336,21 @@ def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float, margin: float =
         axis = _axis_from_direction(e_arr, g.n)
         sign = float(np.sign(e_arr[axis]))
     power_xi = _power(S.values).sum(axis=0)
-    return _yk_from_values(S.values, power_xi, g, S.dt, k, axis, sign, s, margin)
+    mass = float(np.sum(power_xi))
+    if mass == 0.0:
+        return 0.0
+    gate = shell_gate(g, k) & cone_gate(g, k, axis, sign, margin)
+    if _gates_fail(np.sum(power_xi[~gate]), mass):
+        return float("inf")
+    symbolic = _schrodinger_symbol(g, S.num_frames, S.dt, s) * S.values
+    return _yk_from_profile(_lateral_l2_profile(symbolic, g, S.dt, axis), g, k, s)
 
 
 def _zk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float,
                       atlas: ConeAtlas | None):
-    """Two-branch upper bound for the Z_k infimum; returns (value, metadata).
-
-    Candidates: the all-X branch X_k(f), and the cone split
-    sum_e min(X_k(theta_e f), Y_k^e(theta_e f)).  An upper bound by the
-    definition of the infimum; never claimed to be the infimum itself.
-    """
-    g = S.grid
-    power = _power(S.values)
-    power_xi = power.sum(axis=0)
-    x_all = _xk_from_power(power, power_xi, g, S.dt, k, s)
-    branches = {"all_x": x_all}
-    meta = {"branch_values": branches, "cone_choices": None}
-    total_mass = float(np.sum(power_xi))
-    if atlas is not None and total_mass > 0.0:
-        cone_total = 0.0
-        choices = []
-        for theta, e in zip(atlas.multipliers(g), atlas.directions):
-            theta2 = theta**2
-            power_xi_e = theta2 * power_xi
-            # roundoff crumbs from the partition normalization count as empty
-            if float(np.sum(power_xi_e)) <= 1e-24 * total_mass:
-                choices.append("empty")
-                continue
-            xe = _xk_from_power(theta2 * power, power_xi_e, g, S.dt, k, s)
-            axis = int(np.argmax(np.abs(e)))
-            ye = _yk_from_values(theta * S.values, power_xi_e, g, S.dt, k, axis,
-                                 float(np.sign(e[axis])), s, atlas.margin)
-            choices.append("Y" if ye <= xe else "X")
-            cone_total += min(xe, ye)
-        branches["cone_split"] = cone_total
-        meta["cone_choices"] = choices
-    value = min(branches.values())
-    meta["winner"] = min(branches, key=branches.get)
-    return value, meta
+    """Z_k upper bound of the whole spectrum (no shell bump); see _Reductions.zk."""
+    red = _Reductions(S, s, with_symbol=atlas is not None)
+    return red.zk(k, shell_table(S.grid, k, atlas, localized=False))
 
 
 def _shell_range(grid: Grid) -> range:
@@ -309,14 +363,14 @@ def _shell_range(grid: Grid) -> range:
 
 def _fsigma_from_spectrum(S: SpacetimeSpectrum, sigma: float, s: float,
                           atlas: ConeAtlas | None) -> float:
-    g = S.grid
+    """(sum_k 2^{2 k sigma} Z_k(phi_k S)^2)^{1/2}, every shell from one _Reductions."""
+    red = _Reductions(S, s, with_symbol=atlas is not None)
     total = 0.0
-    for k in _shell_range(g):
-        piece = dyadic_shell(g, k)[None, ...] * S.values
-        if not np.any(piece):
+    for k in _shell_range(S.grid):
+        table = shell_table(S.grid, k, atlas, localized=True)
+        if table.index.size == 0:  # no lattice point in supp phi_k
             continue
-        Sk = SpacetimeSpectrum(g, S.t0, S.dt, S.window, piece)
-        zk, _ = _zk_from_spectrum(Sk, k, s, atlas)
+        zk, _ = red.zk(k, table)
         total += (2.0 ** (k * sigma) * zk) ** 2
     return float(np.sqrt(total))
 

@@ -18,8 +18,9 @@ order (n - 2s)/2 with the zero mode excluded.
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 import yaml
@@ -305,6 +306,8 @@ class SolveResult:
     data_hdot: float
     smallness_ok: bool
     config: dict
+    # one entry per iteration, see picard_solve
+    trace: list = field(default_factory=list)
 
     def summary(self) -> dict:
         return {
@@ -318,6 +321,7 @@ class SolveResult:
             "data_hdot": self.data_hdot,
             "smallness_ok": self.smallness_ok,
             "config": self.config,
+            "trace": self.trace,
         }
 
 
@@ -347,6 +351,12 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
     or a non-finite iterate, checked before the F^sigma diagnostic) raises
     PicardDivergenceError carrying the partial result; after an overflow its
     trajectory is the last finite iterate.
+
+    The result's `trace` holds one entry per iteration, also for the
+    iterate that overflowed: `iteration`, the wall time `step_s` of the
+    Duhamel step and its difference to the previous iterate, `fsigma_s`
+    of the F^sigma diagnostic (None when off), `diff_linf_l2`,
+    `contraction_ratio` (None on the first iteration) and `finite`.
     """
     spec.validate(config.s)
     g = u0.grid
@@ -370,7 +380,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
         return _duhamel_step(current, op, free, spec, config, spectrum)
 
     ref = max(u0.l2_norm(), 1e-300)
-    diffs, fdiffs, ratios = [], [], []
+    diffs, fdiffs, ratios, trace = [], [], [], []
     converged = False
     iterations = 0
 
@@ -380,24 +390,32 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
             diff_linf_l2=diffs, diff_fsigma=fdiffs, contraction_ratios=ratios,
             duhamel_residual=float("nan"), apriori_ratio=float("nan"),
             data_hdot=data_hdot, smallness_ok=smallness_ok,
-            config=config.describe())
+            config=config.describe(), trace=trace)
         return PicardDivergenceError(message, result=partial)
 
     for it in range(1, config.max_iterations + 1):
         # An overflow anywhere in the step leaves inf or nan in the iterate or
         # in its distance to the previous one; both are checked right below.
+        start = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             nxt, H = step()
             diff_traj = Trajectory(g, t0, config.dt, nxt.values - current.values)
             d = diff_traj.linf_l2()
-        if not (np.isfinite(d) and np.all(np.isfinite(nxt.values))):
+        entry = {"iteration": it, "step_s": time.perf_counter() - start, "fsigma_s": None,
+                 "diff_linf_l2": d, "contraction_ratio": None,
+                 "finite": bool(np.isfinite(d) and np.all(np.isfinite(nxt.values)))}
+        trace.append(entry)
+        if not entry["finite"]:
             raise diverged(f"Picard iterate {it} is not finite (overflow); the last finite "
                            f"iterate is {it - 1}", it)
         diffs.append(d)
         if fsigma_diffs:
+            start = time.perf_counter()
             fdiffs.append(f_sigma_norm(diff_traj, config.sigma, config.s))
+            entry["fsigma_s"] = time.perf_counter() - start
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(d / diffs[-2])
+            entry["contraction_ratio"] = ratios[-1]
         current = nxt
         iterations = it
         if d <= config.tolerance * ref:
@@ -414,7 +432,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
         diff_linf_l2=diffs, diff_fsigma=fdiffs, contraction_ratios=ratios,
         duhamel_residual=residual, apriori_ratio=apriori,
         data_hdot=data_hdot, smallness_ok=smallness_ok,
-        config=config.describe())
+        config=config.describe(), trace=trace)
 
 
 def residual_check(u: Trajectory, u0: Field, spec: NonlinearitySpec,

@@ -42,8 +42,8 @@ DuhamelOperator.integral_spectrum returns, so that D^beta of the iterate
 one inverse transform and no forward one.
 
 Symbols that depend only on the lattice (multipliers, modulation-weight
-tables, cone partitions) are memoized in one bounded cache, keyed by value
-and handed out read-only; see cached_symbol.
+tables, cone partitions, shell weight tables) are memoized in one bounded
+cache, keyed by value and handed out read-only; see cached_symbol.
 """
 
 from __future__ import annotations
@@ -584,8 +584,11 @@ def partial_idft(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def offset_lattice(grid: Grid, num_frames: int, dt: float, s: float) -> np.ndarray:
-    """r(tau, xi) = tau + |xi|^{2s} on the lattice of a T-frame, step-dt spectrum."""
-    w2s = grid.freq_norm ** (2.0 * s)
+    """r(tau, xi) = tau + |xi|^{2s} on the lattice of a T-frame, step-dt spectrum.
+
+    A T-vector broadcast against the cached |xi|^{2s}; the result is not cached.
+    """
+    w2s = fractional_multiplier(grid, 2.0 * s)
     return _tau_lattice(num_frames, dt).reshape((-1,) + (1,) * grid.n) + w2s[None, ...]
 
 

@@ -86,6 +86,26 @@ def test_solve_overflow_exits_1(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 1
     report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"] is False
+    # the partial report traces every iteration, the overflowing one last
+    trace = report["trace"]
+    assert [entry["finite"] for entry in trace] == [True] * (len(trace) - 1) + [False]
+    assert trace[-1]["fsigma_s"] is None
+
+
+def test_solve_report_traces_every_iteration(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(CFG.format(out=out))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    trace = report["trace"]
+    assert [entry["iteration"] for entry in trace] == list(range(1, report["iterations"] + 1))
+    assert [entry["diff_linf_l2"] for entry in trace] == report["diff_linf_l2"]
+    assert [entry["contraction_ratio"] for entry in trace[1:]] == report["contraction_ratios"]
+    assert trace[0]["contraction_ratio"] is None
+    for entry in trace:
+        assert entry["finite"] is True
+        assert entry["step_s"] > 0.0 and entry["fsigma_s"] > 0.0
 
 
 def test_verify_nprops_writes_report(tmp_path):

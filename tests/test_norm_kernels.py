@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fslab import bumps
+from fslab import bumps, spectral
 from fslab.lp import (
     ConeAtlas,
     dyadic_shell,
     max_modulation_index,
     modulation_shell,
     modulation_weights,
+    shell_table,
 )
 from fslab.norms import (
     SUPPORT_TOL,
@@ -31,8 +32,11 @@ from fslab.norms import (
     _box_tiles,
     _kind_maximal,
     _lateral_l2_profile,
+    _Reductions,
+    _shell_range,
     _xk_from_spectrum,
     _yk_from_spectrum,
+    _zk_from_spectrum,
     axis_cone_atlas,
     f_sigma_norm,
     mixed_norm,
@@ -45,12 +49,15 @@ from fslab.spectral import (
     Grid,
     SpacetimeSpectrum,
     Trajectory,
+    free_evolution,
     fractional_multiplier,
     modulation_offset,
     spacetime_dft,
     spacetime_idft,
     spatial_spectrum,
+    symbol_cache_info,
 )
+from fslab.solver import SolveConfig, default_nonlinearity, duhamel_map, gaussian_spectrum_data
 
 REL = 1e-12
 
@@ -299,6 +306,136 @@ def test_fsigma_and_nsigma_match_oracle(n, m, T, s, seed, cone):
                  oracle_nsigma(traj, sigma, s, atlas, "none"))
 
 
+def _picard_difference(n, m, T):
+    """The first Picard difference T(free) - free of a solve from full-band data."""
+    cfg = SolveConfig(n=n, m=m, num_frames=T, t_half=2.0, epsilon=1.0)
+    u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=5)
+    free = free_evolution(u0, -cfg.t_half, cfg.dt, T, cfg.s)
+    nxt = duhamel_map(free, u0, default_nonlinearity(cfg.s), cfg)
+    return Trajectory(cfg.grid, free.t0, cfg.dt, nxt.values - free.values), cfg
+
+
+def _assert_same_zk(fast, oracle):
+    (value, meta), (oracle_value, oracle_meta) = fast, oracle
+    assert_close(value, oracle_value)
+    assert meta["winner"] == oracle_meta["winner"]
+    assert meta["cone_choices"] == oracle_meta["cone_choices"]
+    assert meta["branch_values"].keys() == oracle_meta["branch_values"].keys()
+    for name, v in oracle_meta["branch_values"].items():
+        assert_close(meta["branch_values"][name], v)
+
+
+def _assert_every_shell_matches(S, s, atlas) -> int:
+    """Z_k of every F^sigma shell phi_k S, from one _Reductions of S and from
+    the direct kernel on phi_k S, against oracle_zk; returns the number of
+    shells holding data."""
+    g = S.grid
+    reductions = _Reductions(S, s, with_symbol=atlas is not None)
+    holding = 0
+    for k in _shell_range(g):
+        values = bumps.phi_shell(g.freq_norm / 2.0**k)[None, ...] * S.values
+        piece = SpacetimeSpectrum(g, S.t0, S.dt, S.window, values)
+        oracle = oracle_zk(piece, k, s, atlas)
+        _assert_same_zk(reductions.zk(k, shell_table(g, k, atlas, localized=True)), oracle)
+        _assert_same_zk(_zk_from_spectrum(piece, k, s, atlas), oracle)
+        holding += bool(np.any(values))
+    return holding
+
+
+@pytest.mark.parametrize("n, m, T", [(2, 16, 32), (3, 8, 16), (1, 16, 32), (4, 8, 8)])
+def test_picard_difference_matches_oracle_on_every_shell(n, m, T):
+    """A full-band Picard difference, the solver's F^sigma input, shell by
+    shell (value, winner, cone choices) and summed.  n = 1 has no atlas, so
+    only the X branch; n = 4 is the dimension the theorems assume."""
+    diff, cfg = _picard_difference(n, m, T)
+    atlas = axis_cone_atlas(n) if n >= 2 else None
+    for window in ("taper", "none"):
+        S = spacetime_dft(diff, window=window)
+        assert _assert_every_shell_matches(S, cfg.s, atlas) >= 3
+        assert_close(f_sigma_norm(diff, cfg.sigma, cfg.s, window=window),
+                     oracle_fsigma_spectrum(S, cfg.sigma, cfg.s, atlas))
+    assert_close(n_sigma_norm(diff, cfg.sigma, cfg.s, window="none"),
+                 oracle_nsigma(diff, cfg.sigma, cfg.s, atlas, "none"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_spectrum_matches_oracle(n):
+    grid = Grid(n, 8, 2.0 * np.pi)
+    zero = Trajectory(grid, -1.0, 0.125, np.zeros((16,) + grid.shape, complex))
+    atlas = axis_cone_atlas(n) if n >= 2 else None
+    S = spacetime_dft(zero, window="none")
+    assert _assert_every_shell_matches(S, 0.75, atlas) == 0
+    for k in (0, 1, 2):
+        _assert_same_zk(_zk_from_spectrum(S, k, 0.75, atlas), oracle_zk(S, k, 0.75, atlas))
+        assert _xk_from_spectrum(S, k, 0.75) == 0.0 == oracle_xk(S, k, 0.75)
+    assert f_sigma_norm(zero, 0.25, 0.75, window="none") == 0.0
+    assert n_sigma_norm(zero, 0.25, 0.75, window="none") == 0.0
+
+
+def test_failed_support_gates_match_oracle():
+    """Shell-2 data against the neighbouring shells fails the X and Y gates
+    (inf in every branch); an atlas whose gate margin lies above its caps'
+    support fails the Y gate of a cone whose X gate holds."""
+    fam = InputFamily(n=2, m=16, num_frames=32, shells=(2,))
+    S = spacetime_dft(fam.free(np.random.default_rng(8), 2, 0.75), window="none")
+    atlas = axis_cone_atlas(2)
+    for k in (0, 1, 3, 4):
+        fast = _zk_from_spectrum(S, k, 0.75, atlas)
+        _assert_same_zk(fast, oracle_zk(S, k, 0.75, atlas))
+        assert fast[0] == np.inf and fast[1]["winner"] == "all_x"
+    wide = ConeAtlas(n=2, margin=0.6, directions=atlas.directions,
+                     plateau_cos=atlas.plateau_cos, support_cos=0.1)
+    piece = SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window,
+                              oracle_multiplier(wide, S.grid, 1)[None, ...] * S.values)
+    assert oracle_yk(piece, 2, wide.directions[1], 0.75, margin=0.6) == np.inf
+    assert np.isfinite(oracle_xk(piece, 2, 0.75))
+    fast = _zk_from_spectrum(S, 2, 0.75, wide)
+    _assert_same_zk(fast, oracle_zk(S, 2, 0.75, wide))
+    assert np.isfinite(fast[1]["branch_values"]["cone_split"])
+    assert fast[1]["cone_choices"][1] == "X"
+
+
+def test_fsigma_and_nsigma_do_not_depend_on_the_symbol_cache(monkeypatch):
+    """Bit for bit the same with every table rebuilt on each fetch (a cache
+    smaller than one shell table) as from a warm cache; from a cold cache of
+    the default budget, each table is built once per call."""
+    diff, cfg = _picard_difference(2, 16, 32)
+    args = (diff, cfg.sigma, cfg.s)
+    warm = (f_sigma_norm(*args), n_sigma_norm(*args))
+    assert (f_sigma_norm(*args), n_sigma_norm(*args)) == warm
+    tables = [size for key, size in symbol_cache_info()["entries"].items()
+              if key[:2] == ("shell_table", diff.grid) and size > 0]
+    budget = spectral._SYMBOLS.max_bytes
+    tiny = spectral._SymbolCache(max_bytes=min(tables) - 1)
+    monkeypatch.setattr(spectral, "_SYMBOLS", tiny)
+    assert (f_sigma_norm(*args), n_sigma_norm(*args)) == warm
+    assert tiny.info()["bytes"] < min(tables)
+    monkeypatch.setattr(spectral, "_SYMBOLS", spectral._SymbolCache(max_bytes=budget))
+    for fn, value in zip((f_sigma_norm, n_sigma_norm), warm):
+        before = symbol_cache_info()
+        assert fn(*args) == value
+        after = symbol_cache_info()
+        assert after["misses"] - before["misses"] == len(after["entries"]) - len(before["entries"])
+    assert any(key[0] == "shell_table" for key in after["entries"])
+
+
+@pytest.mark.parametrize("n, m", [(2, 16), (3, 8), (1, 16)])
+def test_shell_tables_cover_each_point_at_most_twice(n, m):
+    grid = Grid(n, m, 2.0 * np.pi)
+    atlas = axis_cone_atlas(n) if n >= 2 else None
+    count = np.zeros(grid.npoints, dtype=int)
+    for k in _shell_range(grid):
+        table = shell_table(grid, k, atlas, localized=True)
+        bump = dyadic_shell(grid, k).ravel()
+        assert np.array_equal(table.index, np.flatnonzero(bump))
+        count[table.index] += 1
+        thetas = (np.zeros((0, grid.npoints)) if atlas is None
+                  else atlas.multipliers(grid).reshape(atlas.num_directions, -1))
+        assert np.array_equal(table.amplitude, bump[table.index] * thetas[:, table.index])
+        assert table.weights.shape == (3, 1 + len(table.axes), table.index.size)
+    assert count.max() <= 2
+
+
 def _box_sum(traj, k1, axis, k=None):
     return _box_l2_linf_sum(spatial_spectrum(traj.values, traj.grid), traj.grid, k1, axis, k=k)
 
@@ -422,7 +559,9 @@ def test_cached_tables_have_no_cross_talk():
 
 @pytest.mark.parametrize("n, m, T, s", [(2, 16, 32, 0.75), (3, 8, 16, 0.6), (2, 8, 32, 1.0)])
 def test_modulation_table_is_two_band_and_exact(n, m, T, s):
-    """Each row of the table is Q_j^2 bit for bit, and each offset meets at
+    """The xi-resolved table holds Q_j^2 bit for bit: row j m^n + xi holds
+    Q_j(r(tau, xi))^2 at the columns tau m^n + xi and nothing else, so block
+    j, summed over its rows, is Q_j^2 on the lattice.  Each offset meets at
     most two consecutive shells (so the table stays O(T m^n))."""
     grid = Grid(n, m, 2.0 * np.pi)
     dt = 2.0 / T
@@ -430,7 +569,14 @@ def test_modulation_table_is_two_band_and_exact(n, m, T, s):
     S = SpacetimeSpectrum(grid, -1.0, dt, "none", np.zeros((T,) + grid.shape, complex))
     r = modulation_offset(S, s)
     assert table.j_max == max_modulation_index(grid, dt, T, s)
-    dense = table.shells.toarray()
+    npoints = grid.npoints
+    assert table.shells.shape == ((table.j_max + 1) * npoints, T * npoints)
+    coo = table.shells.tocoo()
+    j_of, xi_of = np.divmod(coo.row, npoints)
+    assert np.array_equal(coo.col % npoints, xi_of)
+    assert np.unique(coo.col + T * npoints * j_of).size == coo.nnz
+    dense = np.zeros((table.j_max + 1, T * npoints))
+    dense[j_of, coo.col] = coo.data
     for j in range(table.j_max + 1):
         assert np.array_equal(dense[j], (modulation_shell(r, j) ** 2).ravel())
     hit = dense != 0.0
@@ -438,6 +584,13 @@ def test_modulation_table_is_two_band_and_exact(n, m, T, s):
     lowest = np.argmax(hit, axis=0)
     assert not np.any(hit & (np.arange(table.j_max + 1)[:, None] > lowest + 1))
     assert table.remainder is None
+    power = np.random.default_rng(n * m + T).random((T,) + grid.shape)
+    resolved = table.resolved_sums(power)
+    assert resolved.shape == (table.j_max + 1, npoints)
+    sums = dense @ power.ravel()
+    assert np.allclose(table.shell_sums(power), sums, rtol=1e-13, atol=0.0)
+    assert np.allclose(resolved, (dense.reshape(-1, T, npoints) * power.reshape(T, -1)).sum(1),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_cached_symbols_are_read_only():
@@ -446,6 +599,8 @@ def test_cached_symbols_are_read_only():
     arrays = (fractional_multiplier(grid, 0.5), fractional_multiplier(grid, -0.5),
               axis_cone_atlas(2).multipliers(grid), axis_cone_atlas(2).multiplier(grid, 1),
               dyadic_shell(grid, 1), table.shells.data, table.shells.indices)
+    shells = shell_table(grid, 1, axis_cone_atlas(2), localized=True)
+    arrays += (shells.index, shells.amplitude, shells.weights)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

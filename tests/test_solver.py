@@ -259,6 +259,25 @@ class TestPicard:
         assert partial.iterations == 4
         assert len(partial.diff_linf_l2) == len(partial.diff_fsigma) == 3
         assert np.all(np.isfinite(partial.trajectory.values))
+        # the trace holds the overflowing iterate too, without a diagnostic
+        assert [entry["finite"] for entry in partial.trace] == [True, True, True, False]
+        assert [entry["diff_linf_l2"] for entry in partial.trace[:3]] == partial.diff_linf_l2
+        assert all(entry["fsigma_s"] > 0.0 for entry in partial.trace[:3])
+        assert partial.trace[3]["fsigma_s"] is None
+        assert partial.summary()["trace"] is partial.trace
+
+    def test_trace_records_each_iteration(self, config, small_data):
+        spec = default_nonlinearity(config.s)
+        for fsigma_diffs in (True, False):
+            res = picard_solve(small_data, spec, config, fsigma_diffs=fsigma_diffs)
+            assert len(res.trace) == res.iterations
+            ratios = [entry["contraction_ratio"] for entry in res.trace]
+            assert ratios[0] is None and ratios[1:] == res.contraction_ratios
+            for it, entry in enumerate(res.trace, start=1):
+                assert entry["iteration"] == it and entry["finite"] is True
+                assert entry["diff_linf_l2"] == res.diff_linf_l2[it - 1]
+                assert entry["step_s"] > 0.0
+                assert (entry["fsigma_s"] > 0.0) if fsigma_diffs else entry["fsigma_s"] is None
 
     def test_gauge_covariance(self, config, small_data):
         spec = default_nonlinearity(config.s)
