@@ -50,7 +50,7 @@ __all__ = [
     "ShellTable",
     "shell_table",
     "shell_gate",
-    "cone_gate",
+    "y_gate",
 ]
 
 
@@ -386,12 +386,12 @@ def shell_gate(grid: Grid, k: int) -> np.ndarray:
     return (norm >= 2.0 ** (k - 1)) & (norm <= 2.0 ** (k + 1))
 
 
-def cone_gate(grid: Grid, k: int, axis: int, sign: float, margin: float) -> np.ndarray:
-    """Cone part of the Y_k^e gate, e = sign * (unit vector of `axis`):
-    <xi, e> > 0 and <xi, e> >= margin 2^{k-1}, the floor matching the lower
-    edge of the shell."""
+def y_gate(grid: Grid, k: int, axis: int, sign: float, margin: float) -> np.ndarray:
+    """Support gate of Y_k^e, e = sign * (unit vector of `axis`): the shell
+    gate, <xi, e> > 0 and <xi, e> >= margin 2^{k-1}, the floor matching the
+    lower edge of the shell."""
     dots = sign * grid.freq_component(axis) * np.ones(grid.shape)
-    return (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
+    return shell_gate(grid, k) & (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
 
 
 class ShellTable(NamedTuple):
@@ -400,62 +400,78 @@ class ShellTable(NamedTuple):
     `index` selects the table's points from the flattened m^n lattice
     (centred order): for a localized table the points where phi_k is
     nonzero (all inside 1/2 < |xi| / 2^k < 2), so a lattice point lies in at
-    most two tables; slice(None) for the whole lattice with no shell bump.  Branch 0 is the
-    all-X branch, branch 1 + e the atlas cone e; `axes[e]` is that cone's
-    lattice axis.  `amplitude[e]` is phi_k theta_e (theta_e unlocalized).
-    `weights[0]` holds the squared amplitudes of every branch (phi_k^2, then
-    phi_k^2 theta_e^2), `weights[1]` those off the X gate shell_gate(k) and
-    `weights[2]` those off the Y gate, shell_gate & cone_gate (shell_gate for
-    branch 0): against sum_tau |S|^2 they give each branch's mass and the
-    masses its support gates reject.  `lines[a]` packs the table's points
+    most two tables; slice(None) for the whole lattice with no shell bump.
+    Branch 0 is the all-X branch, branch 1 + e the atlas cone e; `axes[e]`
+    is that cone's lattice axis.  `amplitude[e]` is phi_k theta_e (theta_e
+    unlocalized) and `squares` the squared amplitudes of every branch
+    (phi_k^2, then phi_k^2 theta_e^2).  `off_gate` is True off a branch's
+    support gate: row 0 off shell_gate(k), the X gate of every branch, row
+    1 + e off y_gate of cone e.  `lines[a]` packs a localized table's points
     into the lattice lines along axis a that hold any of them: the i-th
     point goes to row lines[a, i] = l m + xi_a of a (num_lines[a] m)-row
     array, l the rank of its line, so a transform along a skips the empty
-    lines.
+    lines.  The whole lattice is transformed as it is (lines is None).
     """
 
     index: np.ndarray | slice
     axes: tuple
     amplitude: np.ndarray
-    weights: np.ndarray
-    lines: np.ndarray
-    num_lines: tuple
+    squares: np.ndarray
+    off_gate: np.ndarray
+    lines: np.ndarray | None
+    num_lines: tuple | None
 
 
 def shell_table(grid: Grid, k: int, atlas: ConeAtlas | None, localized: bool) -> ShellTable:
-    """The ShellTable of shell k and `atlas` (None: the all-X branch only), cached."""
+    """The ShellTable of shell k and `atlas` (None: the all-X branch only).
+
+    A localized table is cached whole.  The whole-lattice table is
+    assembled per call: its amplitudes are the cached atlas multipliers and
+    only its gate rows, the one part that depends on k, are cached.
+    """
     atlas_key = None if atlas is None else (
         atlas.directions.shape, atlas.directions.tobytes(), atlas.plateau_cos,
         atlas.support_cos, atlas.margin)
-    key = ("shell_table", grid, int(k), atlas_key, bool(localized))
-    return cached_symbol(key, lambda: _build_shell_table(grid, k, atlas, localized))
-
-
-def _build_shell_table(grid: Grid, k: int, atlas: ConeAtlas | None,
-                       localized: bool) -> ShellTable:
     if localized:
-        bump = dyadic_shell(grid, k).ravel()
-        index = np.flatnonzero(bump)
-        bump = bump[index]
-    else:
-        index, bump = slice(None), np.ones(grid.npoints)
+        key = ("shell_table", grid, int(k), atlas_key)
+        return cached_symbol(key, lambda: _build_shell_table(grid, k, atlas))
+    axes, thetas = _atlas_axes(atlas), _thetas(grid, atlas)
+    off_gate = cached_symbol(("shell_gates", grid, int(k), atlas_key),
+                             lambda: ~_gates(grid, k, atlas))
+    squares = np.concatenate([np.ones((1, grid.npoints)), thetas**2])
+    return ShellTable(slice(None), axes, thetas, squares, off_gate, None, None)
+
+
+def _atlas_axes(atlas: ConeAtlas | None) -> tuple:
     if atlas is None:
-        directions, thetas = np.zeros((0, grid.n)), np.zeros((0, grid.npoints))
-    else:
-        directions = atlas.directions
-        thetas = atlas.multipliers(grid).reshape(atlas.num_directions, -1)
-    amplitude = bump * thetas[:, index]
+        return ()
+    return tuple(int(np.argmax(np.abs(e))) for e in atlas.directions)
+
+
+def _thetas(grid: Grid, atlas: ConeAtlas | None) -> np.ndarray:
+    """theta_e on the flattened lattice, shape (K, m^n); K = 0 without an atlas."""
+    if atlas is None:
+        return np.zeros((0, grid.npoints))
+    return atlas.multipliers(grid).reshape(atlas.num_directions, -1)
+
+
+def _gates(grid: Grid, k: int, atlas: ConeAtlas | None) -> np.ndarray:
+    """shell_gate(k), then y_gate of every atlas cone, shape (1 + K, m^n)."""
+    gates = [shell_gate(grid, k)]
+    if atlas is not None:
+        for axis, e in zip(_atlas_axes(atlas), atlas.directions):
+            gates.append(y_gate(grid, k, axis, float(np.sign(e[axis])), atlas.margin))
+    return np.stack(gates).reshape(len(gates), -1)
+
+
+def _build_shell_table(grid: Grid, k: int, atlas: ConeAtlas | None) -> ShellTable:
+    bump = dyadic_shell(grid, k).ravel()
+    index = np.flatnonzero(bump)
+    bump = bump[index]
+    amplitude = bump * _thetas(grid, atlas)[:, index]
     squares = np.concatenate([bump[None, :], amplitude]) ** 2
-    x_gate = shell_gate(grid, k)
-    y_gates = [x_gate]
-    axes = []
-    for e in directions:
-        axis = int(np.argmax(np.abs(e)))
-        axes.append(axis)
-        y_gates.append(x_gate & cone_gate(grid, k, axis, float(np.sign(e[axis])), atlas.margin))
-    off_y = ~np.stack(y_gates).reshape(len(y_gates), -1)[:, index]
-    weights = np.stack([squares, squares * ~x_gate.ravel()[index], squares * off_y])
-    coords = np.unravel_index(np.arange(grid.npoints)[index], grid.shape)
+    off_gate = ~_gates(grid, k, atlas)[:, index]
+    coords = np.unravel_index(index, grid.shape)
     lines, num_lines = [], []
     for a in range(grid.n):
         perp = [c for b, c in enumerate(coords) if b != a]
@@ -464,7 +480,8 @@ def _build_shell_table(grid: Grid, k: int, atlas: ConeAtlas | None,
         ranks, rank = np.unique(line, return_inverse=True)
         lines.append(rank * grid.m + coords[a])
         num_lines.append(ranks.size)
-    return ShellTable(index, tuple(axes), amplitude, weights, np.stack(lines), tuple(num_lines))
+    return ShellTable(index, _atlas_axes(atlas), amplitude, squares, off_gate,
+                      np.stack(lines), tuple(num_lines))
 
 
 def modulation_split(u: Trajectory, s: float, j_max: int | None = None,

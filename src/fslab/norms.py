@@ -10,12 +10,15 @@ Z_k forms |S|^2 of its spectrum S once and makes one sparse reduction,
 A[j, xi] = sum_tau Q_j^2 |S|^2, against the cached xi-resolved modulation
 table (lp.modulation_weights).  Every X_k of the call, the all-X branch and
 each cone theta_e of every shell k, is then one dense product of A with the
-shell's cached weight table (lp.shell_table: phi_k^2 and phi_k^2 theta_e^2
-on supp phi_k), and the same weights against sum_tau |S|^2 give the support
-gates' masses.  Y_k^e needs only an inverse FFT along e, by discrete
-Parseval over (x_perp, t): the call forms symbol * S once, with the
-Schroedinger symbol broadcast from a T-vector and the cached |xi|^{2s}, and
-each Y_k^e transforms (phi_k theta_e) * (symbol * S) over the lattice lines
+shell's table of squared amplitudes (lp.shell_table: phi_k^2 and
+phi_k^2 theta_e^2, on supp phi_k inside F^sigma and N^sigma, on the whole
+lattice for a direct Z_k or X_k), and the same squares against
+sum_tau |S|^2, on and off each branch's support gate, give the gates'
+masses.  Y_k^e needs only an inverse FFT along e, by discrete Parseval over
+(x_perp, t) (_lateral_l2_profile, shared with yk_norm and the smoothing
+estimate): the call forms symbol * S once, with the Schroedinger symbol
+broadcast from a T-vector and the cached |xi|^{2s}, and each Y_k^e
+transforms (phi_k theta_e) * (symbol * S), packed into the lattice lines
 along e that meet the shell.  Each table is fetched once per call.  The box
 sums of the maximal estimate share one spatial transform per draw: boxes
 holding one lattice point per axis are summed in closed form, the others
@@ -41,13 +44,12 @@ from .lp import (
     ShellTable,
     box_lattice,
     cone_cutoff_values,
-    cone_gate,
     dyadic_shell,
     max_modulation_index,
     modulation_shell,
     modulation_weights,
-    shell_gate,
     shell_table,
+    y_gate,
 )
 from .reports import NormReport, RatioReport
 from .spectral import (
@@ -192,17 +194,22 @@ def _lateral_scale(grid: Grid, num_frames: int, dt: float) -> float:
             / (num_frames * dt * grid.dx**n) ** 2)
 
 
-def _lateral_l2_profile(values: np.ndarray, grid: Grid, dt: float, axis: int) -> np.ndarray:
-    """x_e -> ||g(., x_e, .)||_{L^2(x_perp, t)} for g the spacetime_idft of `values`.
+def _lateral_l2_profile(values: np.ndarray, axis: int, grid: Grid, dt: float,
+                        num_frames: int) -> np.ndarray:
+    """x_e -> ||g(., x_e, .)||_{L^2(x_perp, t)} for g the spacetime_idft of a spectrum.
 
-    By discrete Parseval over (x_perp, t) only the e axis is transformed
-    back.  The time phase e^{-i tau t0} and the centring shifts multiply g
-    by unimodular factors, so they drop out of the modulus.
+    `values` holds the spectrum's (tau, xi) values, or any subset of them
+    that keeps the lattice lines along e whole, with e at array axis `axis`;
+    `num_frames` is the spectrum's T.  By discrete Parseval over (x_perp, t)
+    only the e axis is transformed back.  The time phase e^{-i tau t0} and
+    the centring shifts multiply g by unimodular factors, so they drop out
+    of the modulus.
     """
-    h = partial_idft(values, 1 + axis)
-    other = tuple(a for a in range(values.ndim) if a != 1 + axis)
-    sq = np.sum(_power(h), axis=other)
-    return np.sqrt(sq * _lateral_scale(grid, values.shape[0], dt))
+    h = partial_idft(values, axis)
+    parts = h.view(np.float64).reshape(h.shape + (2,))  # real and imaginary parts
+    dims = list(range(parts.ndim))
+    sq = np.einsum(parts, dims, parts, dims, [axis])
+    return np.sqrt(sq * _lateral_scale(grid, num_frames, dt))
 
 
 def _yk_from_profile(profile: np.ndarray, grid: Grid, k: int, s: float) -> float:
@@ -225,8 +232,9 @@ class _Reductions:
     modulation table (`remainder`: the same against the table's remainder,
     or None).  `symbolic` is the Schroedinger symbol times S, formed only
     when a Y_k^e may be needed, and `scratch` the zeroed array the lattice
-    lines of a Y_k^e are packed into; both are xi-major, shape (m^n, T), so
-    that a lattice point's frames are one row.
+    lines of a localized Y_k^e are packed into, made at the first one; both
+    are xi-major, shape (m^n, T), so that a lattice point's frames are one
+    row.
     """
 
     def __init__(self, S: SpacetimeSpectrum, s: float, with_symbol: bool):
@@ -245,19 +253,21 @@ class _Reductions:
         if with_symbol:
             symbol = _schrodinger_symbol(g, num_frames, S.dt, s).reshape(num_frames, -1)
             self.symbolic = np.ascontiguousarray(np.multiply(symbol, flat, out=symbol).T)
-            self.scratch = np.zeros_like(self.symbolic)
 
     def masses(self, table: ShellTable) -> np.ndarray:
         """(mass, mass off the X gate, mass off the Y gate) per branch, shape (3, 1 + K)."""
-        return table.weights @ self.power_xi[table.index]
+        power = self.power_xi[table.index]
+        off_x = np.where(table.off_gate[0], power, 0.0)
+        return np.stack([table.squares @ power, table.squares @ off_x,
+                         (table.squares * table.off_gate) @ power])
 
     def xk_values(self, table: ShellTable, masses: np.ndarray) -> np.ndarray:
         """X_k of every branch: sum_j 2^{j/2} ||Q_j f||_{L2} + penalized
         remainder, 0 without mass, inf where the X gate fails."""
-        sums = self.resolved[:, table.index] @ table.weights[0].T
+        sums = self.resolved[:, table.index] @ table.squares.T
         value = 2.0 ** (np.arange(self.j_max + 1) / 2.0) @ np.sqrt(sums / self.scale)
         if self.remainder is not None:
-            rem = table.weights[0] @ self.remainder[table.index]
+            rem = table.squares @ self.remainder[table.index]
             value += 2.0 ** (self.j_max / 2.0) * np.sqrt(rem / self.scale)
         mass, off_x = masses[0], masses[1]
         return np.where(_gates_fail(off_x, mass), np.inf, np.where(mass == 0.0, 0.0, value))
@@ -265,20 +275,26 @@ class _Reductions:
     def yk_value(self, table: ShellTable, symbolic: np.ndarray, k: int, cone: int) -> float:
         """Y_k^e of cone `cone`, from `symbolic` = self.symbolic[table.index].
 
-        Only the lattice lines along e that hold table points are packed
-        and transformed: the empty ones add nothing to the profile.
+        A localized table's points are packed into the lattice lines along e
+        that hold any of them, and only those are transformed: the empty
+        ones add nothing to the profile.
         """
-        axis = table.axes[cone]
+        g, axis = self.grid, table.axes[cone]
         num_frames = self.symbolic.shape[1]
-        rows, lines = table.lines[axis], table.num_lines[axis]
-        packed = self.scratch[:lines * self.grid.m]
-        packed[rows] = symbolic * table.amplitude[cone][:, None]
-        h = partial_idft(packed.reshape(lines, self.grid.m, num_frames), 1)
-        parts = h.view(np.float64)  # real and imaginary parts side by side
-        sq = np.einsum("ijk,ijk->j", parts, parts)
-        packed[rows] = 0.0
-        profile = np.sqrt(sq * _lateral_scale(self.grid, num_frames, self.dt))
-        return _yk_from_profile(profile, self.grid, k, self.s)
+        values = symbolic * table.amplitude[cone][:, None]
+        if table.lines is None:  # the whole lattice, xi-major
+            profile = _lateral_l2_profile(values.reshape(g.shape + (num_frames,)), axis,
+                                          g, self.dt, num_frames)
+        else:
+            if self.scratch is None:
+                self.scratch = np.zeros_like(self.symbolic)
+            rows = table.lines[axis]
+            packed = self.scratch[:table.num_lines[axis] * g.m]
+            packed[rows] = values
+            profile = _lateral_l2_profile(packed.reshape(-1, g.m, num_frames), 1,
+                                          g, self.dt, num_frames)
+            packed[rows] = 0.0
+        return _yk_from_profile(profile, g, k, self.s)
 
     def zk(self, k: int, table: ShellTable):
         """Two-branch upper bound for the Z_k infimum; returns (value, metadata).
@@ -339,11 +355,11 @@ def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float, margin: float =
     mass = float(np.sum(power_xi))
     if mass == 0.0:
         return 0.0
-    gate = shell_gate(g, k) & cone_gate(g, k, axis, sign, margin)
-    if _gates_fail(np.sum(power_xi[~gate]), mass):
+    if _gates_fail(np.sum(power_xi[~y_gate(g, k, axis, sign, margin)]), mass):
         return float("inf")
     symbolic = _schrodinger_symbol(g, S.num_frames, S.dt, s) * S.values
-    return _yk_from_profile(_lateral_l2_profile(symbolic, g, S.dt, axis), g, k, s)
+    profile = _lateral_l2_profile(symbolic, 1 + axis, g, S.dt, S.num_frames)
+    return _yk_from_profile(profile, g, k, s)
 
 
 def _zk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float,
@@ -594,8 +610,8 @@ def _kind_smoothing(family, s, atlas, seed, index, collect):
             e[axis] = sign
             mult = cone_cutoff_values(family.grid, e, family.margin)
             # L^inf_e L^2 of the cone piece, by the same Parseval reduction as Y_k^e
-            lhs = float(np.max(_lateral_l2_profile(mult[None, ...] * St.values,
-                                                   family.grid, St.dt, axis)))
+            lhs = float(np.max(_lateral_l2_profile(mult[None, ...] * St.values, 1 + axis,
+                                                   family.grid, St.dt, St.num_frames)))
             ratio = _ratio_guarded(lhs, rhs)
             if ratio is not None:
                 collect(f"smoothing_{tag}", ratio)

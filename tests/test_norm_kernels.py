@@ -273,7 +273,7 @@ def test_lateral_profile_matches_full_inverse(n, m, T, seed, t0):
     vals = rng.standard_normal((T,) + grid.shape) + 1j * rng.standard_normal((T,) + grid.shape)
     S = SpacetimeSpectrum(grid, t0, 2.0 / T, "none", vals)
     axis = seed % n
-    profile = _lateral_l2_profile(vals, grid, S.dt, axis)
+    profile = _lateral_l2_profile(vals, 1 + axis, grid, S.dt, T)
     traj = spacetime_idft(S)
     assert_close(float(np.sum(profile) * grid.dx), mixed_norm(traj, MixedNormSpec(axis, 1, 2)))
     assert_close(float(np.max(profile)), mixed_norm(traj, MixedNormSpec(axis, np.inf, 2)))
@@ -432,8 +432,30 @@ def test_shell_tables_cover_each_point_at_most_twice(n, m):
         thetas = (np.zeros((0, grid.npoints)) if atlas is None
                   else atlas.multipliers(grid).reshape(atlas.num_directions, -1))
         assert np.array_equal(table.amplitude, bump[table.index] * thetas[:, table.index])
-        assert table.weights.shape == (3, 1 + len(table.axes), table.index.size)
+        assert table.squares.shape == (1 + len(table.axes), table.index.size)
+        assert table.off_gate.shape == table.squares.shape
+        assert table.off_gate.dtype == bool
     assert count.max() <= 2
+
+
+@pytest.mark.parametrize("n, m", [(2, 16), (3, 8), (1, 16)])
+def test_whole_lattice_tables_cache_only_their_gates(n, m, monkeypatch):
+    """The direct Z_k / X_k tables read theta_e from the atlas table and
+    cache one boolean gate row per branch and shell, nothing per point."""
+    monkeypatch.setattr(spectral, "_SYMBOLS",
+                        spectral._SymbolCache(max_bytes=spectral._SYMBOLS.max_bytes))
+    grid = Grid(n, m, 2.0 * np.pi)
+    atlas = axis_cone_atlas(n) if n >= 2 else None
+    for k in _shell_range(grid):
+        before = symbol_cache_info()["entries"]
+        table = shell_table(grid, k, atlas, localized=False)
+        assert table.index == slice(None) and table.lines is None
+        if atlas is not None:
+            assert np.shares_memory(table.amplitude, atlas.multipliers(grid))
+        new = {key: size for key, size in symbol_cache_info()["entries"].items()
+               if key not in before and key[0] != "cone_atlas"}
+        assert list(new.values()) == [table.off_gate.nbytes]
+        assert table.off_gate.shape == (1 + len(table.axes), grid.npoints)
 
 
 def _box_sum(traj, k1, axis, k=None):
@@ -600,7 +622,8 @@ def test_cached_symbols_are_read_only():
               axis_cone_atlas(2).multipliers(grid), axis_cone_atlas(2).multiplier(grid, 1),
               dyadic_shell(grid, 1), table.shells.data, table.shells.indices)
     shells = shell_table(grid, 1, axis_cone_atlas(2), localized=True)
-    arrays += (shells.index, shells.amplitude, shells.weights)
+    arrays += (shells.index, shells.amplitude, shells.squares, shells.off_gate, shells.lines)
+    arrays += (shell_table(grid, 1, axis_cone_atlas(2), localized=False).off_gate,)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
