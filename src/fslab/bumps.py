@@ -148,8 +148,11 @@ def time_cutoff(t):
     return _PSI_TIME(t)
 
 
-def window_weights(times, fraction: float = 0.1):
-    """Smooth taper over the outer `fraction` of a sampled time window.
+TAPER_FRACTION = 0.1
+
+
+def window_weights(times):
+    """Smooth taper over the outer TAPER_FRACTION of a sampled time window.
 
     Returns weights w(t_i) that are 1 on the central part and fall smoothly
     to 0 at both ends, so the windowed trajectory extends periodically
@@ -159,7 +162,7 @@ def window_weights(times, fraction: float = 0.1):
     if t.size < 2:
         return np.ones_like(t)
     span = t[-1] - t[0] + (t[1] - t[0])
-    width = fraction * span
+    width = TAPER_FRACTION * span
     left = smooth_step((t - t[0]) / width)
     right = smooth_step((t[-1] - t) / width)
     return left * right

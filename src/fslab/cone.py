@@ -130,14 +130,16 @@ class AdmissiblePoint:
         return self.in_shell() and self.in_cone() and self.near_characteristic()
 
 
-def sample_admissible(params: ConeParams, num_samples: int, seed: int = 0,
-                      min_offset_rel: float = 1e-6):
+MIN_OFFSET_REL = 1e-6
+
+
+def sample_admissible(params: ConeParams, num_samples: int, seed: int = 0):
     """Uniform draws from the admissible box in scale-free coordinates.
 
     Draws (xi_e1 / 2^k, |xi'| / 2^k, modulation offset / 2^{2sk-c'}) uniformly
     and rejects points leaving the shell, so reruns at k and k+1 with one seed
     visit exactly rescaled point sets.  Points with relative modulation offset
-    below min_offset_rel are rejected too (they make ratio (3) a 0/0).
+    below MIN_OFFSET_REL are rejected too (they make ratio (3) a 0/0).
     Returns arrays (xi_e1, zeta_normsq, tau).
     """
     k, C1, ct, cp, s = params.k, params.C1, params.c_tilde, params.c_prime, params.s
@@ -153,7 +155,7 @@ def sample_admissible(params: ConeParams, num_samples: int, seed: int = 0,
         rpn = u[:, 1] * C1                          # |xi'| / 2^k
         xin = np.hypot(x1n, rpn)                    # |xi| / 2^k
         offs = (2.0 * u[:, 2] - 1.0)                # offset in units of 2^{2sk-c'}
-        keep = (xin >= 1.0 / C1) & (xin <= C1) & (np.abs(offs) >= min_offset_rel)
+        keep = (xin >= 1.0 / C1) & (xin <= C1) & (np.abs(offs) >= MIN_OFFSET_REL)
         if np.any(keep):
             xi1 = x1n[keep] * scale
             zsq = (rpn[keep] * scale) ** 2

@@ -144,7 +144,7 @@ class ConeAtlas:
         }
 
 
-def build_cone_atlas(n: int, margin: float, seed: int = 0) -> ConeAtlas:
+def build_cone_atlas(n: int, margin: float) -> ConeAtlas:
     """Greedy cap covering of S^{n-1} with caps of angular radius acos(margin).
 
     The covering (plateau) radius is 70% of the support radius, so every
@@ -164,7 +164,7 @@ def build_cone_atlas(n: int, margin: float, seed: int = 0) -> ConeAtlas:
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         count = 4000 if n == 3 else 20000
-        cands = _sphere_candidates(n, count, seed)
+        cands = _sphere_candidates(n, count, 0)
         # greedy packing at 0.85*plateau leaves room for candidate discreteness
         cos_pack = np.cos(0.85 * alpha_plateau)
         chosen = []
@@ -181,7 +181,7 @@ def build_cone_atlas(n: int, margin: float, seed: int = 0) -> ConeAtlas:
         support_cos=float(margin),
     )
     # fail fast if the greedy covering left a hole
-    probe = _sphere_candidates(n, 2048 if n > 2 else 720, seed + 1)
+    probe = _sphere_candidates(n, 2048 if n > 2 else 720, 1)
     atlas.partition_values(probe)
     return atlas
 
@@ -310,7 +310,7 @@ def max_modulation_index(grid: Grid, dt: float, num_frames: int, s: float) -> in
     """Largest modulation bin representable on the tau lattice.
 
     Chosen so that eta(r / 2^{jmax}) = 1 for every representable offset r,
-    making the telescoped remainder vanish identically.
+    so that Q_0 .. Q_jmax sum to exactly 1 on the lattice.
     """
     tau_max = np.pi / dt
     r_max = tau_max + float(np.max(grid.freq_norm)) ** (2.0 * s)
@@ -326,21 +326,16 @@ class ModulationWeights(NamedTuple):
     is nonzero only for 0.75 * 2^j < |r| < 1.9 * 2^j and eta(r) only for
     |r| < 1.9, so each offset r meets at most two consecutive shells: the
     matrix holds at most two entries per column, O(T m^n) however large
-    j_max is.  `remainder` is (1 - sum_j Q_j)^2, or None where the shells
-    telescope to exactly 1 on the whole lattice.
+    j_max is.  The Q_j telescope to exactly 1 on the whole lattice, so no
+    remainder is left over.
     """
 
     j_max: int
     shells: scipy.sparse.csr_array
-    remainder: np.ndarray | None
 
     def resolved_sums(self, power: np.ndarray) -> np.ndarray:
         """sum_tau |Q_j f^|^2 at every (j, xi), shape (j_max + 1, m^n), from power = |f^|^2."""
         return (self.shells @ power.ravel()).reshape(self.j_max + 1, -1)
-
-    def shell_sums(self, power: np.ndarray) -> np.ndarray:
-        """sum |Q_j f|^2 for j = 0..j_max: the row sums of resolved_sums."""
-        return self.resolved_sums(power).sum(axis=1)
 
 
 def modulation_weights(grid: Grid, num_frames: int, dt: float, s: float) -> ModulationWeights:
@@ -376,8 +371,9 @@ def _build_modulation_weights(grid: Grid, num_frames: int, dt: float,
     shells = scipy.sparse.csr_array(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=((j_max + 1) * npoints, r.size))
-    remainder = ((1.0 - mult_sum) ** 2).reshape((num_frames,) + grid.shape)
-    return ModulationWeights(j_max, shells, remainder if np.any(remainder) else None)
+    if np.any(mult_sum != 1.0):
+        raise ValueError(f"modulation shells Q_0 .. Q_{j_max} do not sum to 1 on the lattice")
+    return ModulationWeights(j_max, shells)
 
 
 def shell_gate(grid: Grid, k: int) -> np.ndarray:

@@ -26,7 +26,12 @@ invert the transform over their own support only.
 
 verify_estimate draws seeded random input families and reports the worst
 LHS/RHS ratio for each inequality, with a stability flag under doubling the
-family.
+family.  An estimate kind only measures: called on one draw as
+kind(family, s, atlas, seed, index, sigma), it yields an (item, lhs, rhs)
+triple for each inequality it tests.  verify_estimate alone resolves sigma,
+guards each rhs (a triple whose rhs is not finite and positive gives no
+ratio), collects the ratios per item in yield order and takes each draw's
+worst; a draw with no ratio is skipped and counted.
 
 Caveat recorded in every report: the estimates are checked as inequality
 shapes at the family's n; the theorems they come from assume n >= 4.
@@ -229,8 +234,7 @@ class _Reductions:
 
     `power_xi` is sum_tau |S|^2 and `resolved` the modulation reduction
     sum_tau Q_j^2 |S|^2 at every (j, xi), from one product with the cached
-    modulation table (`remainder`: the same against the table's remainder,
-    or None).  `symbolic` is the Schroedinger symbol times S, formed only
+    modulation table.  `symbolic` is the Schroedinger symbol times S, formed only
     when a Y_k^e may be needed, and `scratch` the zeroed array the lattice
     lines of a localized Y_k^e are packed into, made at the first one; both
     are xi-major, shape (m^n, T), so that a lattice point's frames are one
@@ -246,9 +250,6 @@ class _Reductions:
         self.scale = g.box_length**g.n * num_frames * S.dt
         self.power_xi = power.sum(axis=0)
         self.resolved = table.resolved_sums(power)
-        self.remainder = None
-        if table.remainder is not None:
-            self.remainder = np.sum(table.remainder.reshape(num_frames, -1) * power, axis=0)
         self.symbolic = self.scratch = None
         if with_symbol:
             symbol = _schrodinger_symbol(g, num_frames, S.dt, s).reshape(num_frames, -1)
@@ -262,13 +263,10 @@ class _Reductions:
                          (table.squares * table.off_gate) @ power])
 
     def xk_values(self, table: ShellTable, masses: np.ndarray) -> np.ndarray:
-        """X_k of every branch: sum_j 2^{j/2} ||Q_j f||_{L2} + penalized
-        remainder, 0 without mass, inf where the X gate fails."""
+        """X_k of every branch: sum_j 2^{j/2} ||Q_j f||_{L2}, 0 without mass,
+        inf where the X gate fails."""
         sums = self.resolved[:, table.index] @ table.squares.T
         value = 2.0 ** (np.arange(self.j_max + 1) / 2.0) @ np.sqrt(sums / self.scale)
-        if self.remainder is not None:
-            rem = table.squares @ self.remainder[table.index]
-            value += 2.0 ** (self.j_max / 2.0) * np.sqrt(rem / self.scale)
         mass, off_x = masses[0], masses[1]
         return np.where(_gates_fail(off_x, mass), np.inf, np.where(mass == 0.0, 0.0, value))
 
@@ -440,8 +438,9 @@ def n_sigma_norm(F: Trajectory, sigma: float, s: float, atlas: ConeAtlas | None 
 class InputFamily:
     """Seeded random-trajectory families on dyadic shells.
 
-    Draw kinds cycle deterministically: static shell data, free evolutions,
-    modulated shells at prescribed j, and cone-localized free evolutions.
+    Draw kinds cycle deterministically: free evolutions, modulated shells at
+    prescribed j, and static shell data; free and modulated data can be
+    cut to a cone along a signed axis.
     All trajectories are returned already tapered in time; downstream norms
     run with window='none'.  The cone margin defaults to the axis atlas's
     default for dimension n.
@@ -507,40 +506,39 @@ class InputFamily:
         spec0 = self.shell_spectrum(rng, k)
         return self._trajectory_from_phase(spec0, np.zeros(self.grid.shape))
 
-    def free(self, rng, k: int, s: float, cone_axis: int | None = None,
-             cone_sign: float = 1.0) -> Trajectory:
+    def _cone_shell_spectrum(self, rng, k: int, cone_axis: int | None,
+                             cone_sign: float) -> np.ndarray:
+        """shell_spectrum, cut to the cone along cone_sign * e_{cone_axis} if an axis is given."""
         spec0 = self.shell_spectrum(rng, k)
         if cone_axis is not None:
             e = np.zeros(self.n)
             e[cone_axis] = cone_sign
             spec0 = spec0 * cone_cutoff_values(self.grid, e, self.margin)
+        return spec0
+
+    def free(self, rng, k: int, s: float, cone_axis: int | None = None,
+             cone_sign: float = 1.0) -> Trajectory:
+        spec0 = self._cone_shell_spectrum(rng, k, cone_axis, cone_sign)
         return self._trajectory_from_phase(spec0, self.grid.freq_norm ** (2.0 * s))
 
     def modulated(self, rng, k: int, s: float, j: int,
                   cone_axis: int | None = None, cone_sign: float = 1.0) -> Trajectory:
         """Shell data oscillating at modulation offset 1.5 * 2^j off the characteristic."""
-        spec0 = self.shell_spectrum(rng, k)
-        if cone_axis is not None:
-            e = np.zeros(self.n)
-            e[cone_axis] = cone_sign
-            spec0 = spec0 * cone_cutoff_values(self.grid, e, self.margin)
+        spec0 = self._cone_shell_spectrum(rng, k, cone_axis, cone_sign)
         omega = self.grid.freq_norm ** (2.0 * s) + 1.5 * 2.0**j
         return self._trajectory_from_phase(spec0, omega)
 
-    def draw(self, index: int, s: float, seed: int,
-             cone_axis: int | None = None) -> tuple:
+    def draw(self, index: int, s: float, seed: int) -> tuple:
         """Deterministic draw number `index`; returns (trajectory, k, label)."""
         rng = np.random.default_rng((seed, index))
         k = self.shells[index % len(self.shells)]
         kind = index % 3
         if kind == 0:
-            return self.free(rng, k, s, cone_axis=cone_axis), k, "free"
+            return self.free(rng, k, s), k, "free"
         if kind == 1:
             j = 1 + (index // 3) % 3
-            return self.modulated(rng, k, s, j, cone_axis=cone_axis), k, f"modulated_j{j}"
-        if cone_axis is None:
-            return self.static(rng, k), k, "static"
-        return self.free(rng, k, s, cone_axis=cone_axis, cone_sign=-1.0), k, "free_cone_neg"
+            return self.modulated(rng, k, s, j), k, f"modulated_j{j}"
+        return self.static(rng, k), k, "static"
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +550,7 @@ def _ratio_guarded(lhs: float, rhs: float):
     return lhs / rhs
 
 
-def _kind_embedding(family, s, atlas, seed, index, collect):
+def _kind_embedding(family, s, atlas, seed, index, sigma):
     # cone-localized data along +axis so the Y gate is satisfiable
     axis = index % family.n
     rng = np.random.default_rng((seed, index))
@@ -564,45 +562,32 @@ def _kind_embedding(family, s, atlas, seed, index, collect):
         traj = family.modulated(rng, k, s, j, cone_axis=axis)
     S = spacetime_dft(traj, window="none")
     y = _yk_from_spectrum(S, k, axis, s, margin=family.margin)
-    if not np.isfinite(y) or y <= 0.0:
-        return None
     r = modulation_offset(S, s)
-    best = None
     j_top = max_modulation_index(family.grid, family.dt, family.num_frames, s)
     for j in range(min(j_top, 8) + 1):
         mult = modulation_shell(r, j)
         Sj = SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, mult * S.values)
         lhs = _xk_from_spectrum(Sj, k, s)
-        rhs = min(2.0 ** (k * s) * 2.0 ** (-j / 2.0), 1.0) * y
-        ratio = _ratio_guarded(lhs, rhs)
-        if ratio is not None:
-            collect("embedding", ratio)
-            best = ratio if best is None else max(best, ratio)
-    return best
+        yield "embedding", lhs, min(2.0 ** (k * s) * 2.0 ** (-j / 2.0), 1.0) * y
 
 
-def _kind_linfty_l2(family, s, atlas, seed, index, collect):
+def _kind_linfty_l2(family, s, atlas, seed, index, sigma):
     traj, k, label = family.draw(index, s, seed)
     S = spacetime_dft(traj, window="none")
     zk, _ = _zk_from_spectrum(S, k, s, atlas)
-    lhs = traj.linf_l2()
-    ratio = _ratio_guarded(lhs, zk)
-    if ratio is not None:
-        collect("linfty_l2", ratio)
-    return ratio
+    yield "linfty_l2", traj.linf_l2(), zk
 
 
 def _conjugate_trajectory(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.grid, traj.t0, traj.dt, np.conj(traj.values))
 
 
-def _kind_smoothing(family, s, atlas, seed, index, collect):
+def _kind_smoothing(family, s, atlas, seed, index, sigma):
     traj, k, label = family.draw(index, s, seed)
     S = spacetime_dft(traj, window="none")
     zk, _ = _zk_from_spectrum(S, k, s, atlas)
     rhs = 2.0 ** (-k * (2.0 * s - 1.0) / 2.0) * zk
     axis = index % family.n
-    best = None
     conj_spectrum = spacetime_dft(_conjugate_trajectory(traj), window="none")
     for tag, St in (("f", S), ("conj", conj_spectrum)):
         for sign in (1.0, -1.0):
@@ -612,11 +597,7 @@ def _kind_smoothing(family, s, atlas, seed, index, collect):
             # L^inf_e L^2 of the cone piece, by the same Parseval reduction as Y_k^e
             lhs = float(np.max(_lateral_l2_profile(mult[None, ...] * St.values, 1 + axis,
                                                    family.grid, St.dt, St.num_frames)))
-            ratio = _ratio_guarded(lhs, rhs)
-            if ratio is not None:
-                collect(f"smoothing_{tag}", ratio)
-                best = ratio if best is None else max(best, ratio)
-    return best
+            yield f"smoothing_{tag}", lhs, rhs
 
 
 def _box_tiles(grid: Grid, k1: int, k: int | None) -> tuple:
@@ -699,38 +680,28 @@ def _box_census_notes(family: InputFamily, draws: int) -> list:
     return notes
 
 
-def _kind_maximal(family, s, atlas, seed, index, collect):
+def _kind_maximal(family, s, atlas, seed, index, sigma):
     traj, k, label = family.draw(index, s, seed)
     # one spatial transform serves the space-time spectrum and the box sums
     spec = spatial_spectrum(traj.values, family.grid)
     zk, _ = _zk_from_spectrum(spacetime_dft_from_spatial(spec, traj), k, s, atlas)
     axis = index % family.n
     nn = family.n
-    best = None
-    for tag, tr in (("f", traj), ("conj", _conjugate_trajectory(traj))):
+    for tr in (traj, _conjugate_trajectory(traj)):
         lhs = mixed_norm(tr, MixedNormSpec(e_axis=axis, p=2, q=np.inf))
-        ratio = _ratio_guarded(lhs, 2.0 ** (k * (nn - 1) / 2.0) * zk)
-        if ratio is not None:
-            collect("maximal_global", ratio)
-            best = ratio if best is None else max(best, ratio)
+        yield "maximal_global", lhs, 2.0 ** (k * (nn - 1) / 2.0) * zk
     for k1 in (k - 2, k):
         lhs = _box_l2_linf_sum(spec, family.grid, k1, axis, k=k)
         rhs = (2.0 ** (k * (nn - 1) / 2.0) * 2.0 ** (-(k - k1) * (nn - 2) / 2.0)
                * (1.0 + abs(k - k1)) * zk)
-        ratio = _ratio_guarded(lhs, rhs)
-        if ratio is not None:
-            collect("maximal_box", ratio)
-            best = ratio if best is None else max(best, ratio)
-    return best
+        yield "maximal_box", lhs, rhs
 
 
-def _kind_ds_commute(family, s, atlas, seed, index, collect):
+def _kind_ds_commute(family, s, atlas, seed, index, sigma):
     # single-shell data so the neighbor-sum side is a genuine two-sided match
-    rng = np.random.default_rng((seed, index, 7))
     g = family.grid
     ell = family.shells[index % len(family.shells)]
-    spec0 = family.shell_spectrum(rng, ell)
-    traj = family._trajectory_from_phase(spec0, g.freq_norm ** (2.0 * s))
+    traj = family.free(np.random.default_rng((seed, index, 7)), ell, s)
     beta = (2.0 * s - 1.0) if index % 2 == 0 else -(2.0 * s - 1.0) / 2.0
     axis = index % family.n
     pq = [(1, 2), (2, 2), (np.inf, 2), (2, np.inf)][index % 4]
@@ -740,24 +711,18 @@ def _kind_ds_commute(family, s, atlas, seed, index, collect):
         return Trajectory(g, traj.t0, traj.dt, apply_spatial_multiplier(traj.values, g, mult))
 
     shell_mult = dyadic_shell(g, ell)
-    frac = fractional_multiplier(g, beta, "zero_out")
+    frac = fractional_multiplier(g, beta)
     lhs = mixed_norm(filtered(frac * shell_mult), spec)
     rhs = 0.0
     for lp in (ell - 1, ell, ell + 1):
         rhs += mixed_norm(filtered(dyadic_shell(g, lp)), spec)
-    rhs *= 2.0 ** (ell * beta)
-    ratio = _ratio_guarded(lhs, rhs)
-    if ratio is not None:
-        collect("ds_commute", ratio)
-    return ratio
+    yield "ds_commute", lhs, rhs * 2.0 ** (ell * beta)
 
 
-def _kind_multiplier_bound(family, s, atlas, seed, index, collect):
+def _kind_multiplier_bound(family, s, atlas, seed, index, sigma):
     traj, k, label = family.draw(index, s, seed)
     S = spacetime_dft(traj, window="none")
     zk, _ = _zk_from_spectrum(S, k, s, atlas)
-    if not np.isfinite(zk) or zk <= 0.0:
-        return None
     g = family.grid
     if index % 3 == 0:
         # lattice-shift modulation: kernel is a point mass, L1 norm exactly 1
@@ -775,64 +740,40 @@ def _kind_multiplier_bound(family, s, atlas, seed, index, collect):
     l1 = float(np.sum(np.abs(kernel.values)) * g.dx**g.n)
     Sm = SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, mult[None, ...] * S.values)
     zk_m, _ = _zk_from_spectrum(Sm, k, s, atlas)
-    ratio = _ratio_guarded(zk_m, l1 * zk)
-    if ratio is not None:
-        collect("multiplier_bound", ratio)
-    return ratio
+    yield "multiplier_bound", zk_m, l1 * zk
 
 
-def _kind_homogeneous(family, s, atlas, seed, index, collect, sigma=None):
+def _kind_homogeneous(family, s, atlas, seed, index, sigma):
     g = family.grid
     rng = np.random.default_rng((seed, index))
     k = family.shells[index % len(family.shells)]
-    if sigma is None:
-        sigma = (family.n - 2.0 * s) / 2.0
     spec0 = family.shell_spectrum(rng, k)
     if index % 3 == 2 and len(family.shells) > 1:
         spec0 = spec0 + family.shell_spectrum(rng, family.shells[(index + 1) % len(family.shells)])
     u0 = dft_inverse(Field(g, spec0))
     traj = family._trajectory_from_phase(spec0, g.freq_norm ** (2.0 * s))
     lhs = _fsigma_from_spectrum(spacetime_dft(traj, window="none"), sigma, s, atlas)
-    rhs = hdot_norm(u0, sigma)
-    ratio = _ratio_guarded(lhs, rhs)
-    if ratio is not None:
-        collect("homogeneous", ratio)
-    return ratio
+    yield "homogeneous", lhs, hdot_norm(u0, sigma)
 
 
-def _kind_inhomogeneous(family, s, atlas, seed, index, collect, sigma=None):
-    if sigma is None:
-        sigma = (family.n - 2.0 * s) / 2.0
+def _kind_inhomogeneous(family, s, atlas, seed, index, sigma):
     traj, k, label = family.draw(index, s, seed)
     u = duhamel_integral(traj, s, rule="simpson")
     lhs = _fsigma_from_spectrum(spacetime_dft(u, window="none"), sigma, s, atlas)
-    rhs = n_sigma_norm(traj, sigma, s, atlas, window="none")
-    ratio = _ratio_guarded(lhs, rhs)
-    if ratio is not None:
-        collect("inhomogeneous", ratio)
-    return ratio
+    yield "inhomogeneous", lhs, n_sigma_norm(traj, sigma, s, atlas, window="none")
 
 
-def _kind_trilinear(family, s, atlas, seed, index, collect, sigma=None,
-                    beta=None, pattern=None):
-    if sigma is None:
-        sigma = (family.n - 2.0 * s) / 2.0
-    rng = np.random.default_rng((seed, index, 3))
+def _kind_trilinear(family, s, atlas, seed, index, sigma):
     ks = family.shells
     k1, k2, k3 = (ks[index % len(ks)], ks[(index // 2) % len(ks)],
                   ks[(index // 4) % len(ks)])
-    if beta is None:
-        betas = (2.0 * s - 1.0, -(2.0 * s - 1.0) / 2.0, 0.5 * (2.0 * s - 1.0))
-        beta = betas[index % 3]
-    if pattern is None:
-        patterns = (("plain", "conjugate", "plain"), ("plain", "plain", "plain"),
-                    ("conjugate", "plain", "conjugate"))
-        pattern = patterns[(index // 3) % 3]
-    trajs = []
-    for k_i, lbl in ((k1, 0), (k2, 1), (k3, 2)):
-        r = np.random.default_rng((seed, index, lbl))
-        spec0 = family.shell_spectrum(r, k_i)
-        trajs.append(family._trajectory_from_phase(spec0, family.grid.freq_norm ** (2.0 * s)))
+    betas = (2.0 * s - 1.0, -(2.0 * s - 1.0) / 2.0, 0.5 * (2.0 * s - 1.0))
+    beta = betas[index % 3]
+    patterns = (("plain", "conjugate", "plain"), ("plain", "plain", "plain"),
+                ("conjugate", "plain", "conjugate"))
+    pattern = patterns[(index // 3) % 3]
+    trajs = [family.free(np.random.default_rng((seed, index, lbl)), k_i, s)
+             for lbl, k_i in enumerate((k1, k2, k3))]
 
     g = family.grid
     factors = [np.conj(t.values) if c == "conjugate" else t.values
@@ -851,10 +792,7 @@ def _kind_trilinear(family, s, atlas, seed, index, collect, sigma=None,
         f_s0 = [_fsigma_from_spectrum(S, s0, s, atlas) for S in specs]
     rhs = (f_sig[0] * f_s0[1] * f_s0[2] + f_s0[0] * f_sig[1] * f_s0[2]
            + f_s0[0] * f_s0[1] * f_sig[2])
-    ratio = _ratio_guarded(lhs, rhs)
-    if ratio is not None:
-        collect("trilinear", ratio)
-    return ratio
+    yield "trilinear", lhs, rhs
 
 
 ESTIMATE_KINDS = {
@@ -870,14 +808,6 @@ ESTIMATE_KINDS = {
 }
 
 
-def default_family(kind: str, n: int = 2, m: int = 16, num_frames: int = 32) -> InputFamily:
-    """Family defaults per kind; the Duhamel kinds need the [-2,2] window."""
-    if kind in ("inhomogeneous",):
-        return InputFamily(n=n, m=m, num_frames=max(num_frames, 32), t_half=2.0,
-                           shells=(1, 2, 3))
-    return InputFamily(n=n, m=m, num_frames=num_frames, t_half=1.0, shells=(1, 2, 3))
-
-
 def verify_estimate(kind: str, family: InputFamily | None = None, *, s: float = 0.75,
                     atlas: ConeAtlas | None = None, draws: int = 64, seed: int = 0,
                     sigma: float | None = None) -> RatioReport:
@@ -885,39 +815,37 @@ def verify_estimate(kind: str, family: InputFamily | None = None, *, s: float = 
 
     C* over the first `draws` is compared with C* over all 2*draws; the
     report passes when the worst ratio is finite and grows by < 25% under
-    that doubling.  Draws whose right-hand side vanishes are skipped and
-    counted.
+    that doubling.  A draw whose triples give no ratio (no rhs finite and
+    positive) is skipped and counted.  sigma defaults to (n - 2s)/2.
     """
     if kind not in ESTIMATE_KINDS:
         raise ValueError(f"unknown estimate kind '{kind}'; choose from {sorted(ESTIMATE_KINDS)}")
     if family is None:
-        family = default_family(kind)
+        # the default family; the Duhamel kind needs the [-2, 2] window
+        family = InputFamily(t_half=2.0 if kind == "inhomogeneous" else 1.0)
     if atlas is None and family.n >= 2:
         atlas = axis_cone_atlas(family.n, family.margin)
-
-    fn = ESTIMATE_KINDS[kind]
-    kwargs = {}
-    if kind in ("homogeneous", "inhomogeneous", "trilinear"):
-        kwargs["sigma"] = sigma
 
     report = RatioReport(check_id=f"estimate_{kind}",
                          params={"kind": kind, "s": s, "sigma": sigma,
                                  "family": family.describe()},
                          seed=seed)
+    if sigma is None:
+        sigma = (family.n - 2.0 * s) / 2.0
     buckets: dict = {}
-
-    def collect(name, value):
-        buckets.setdefault(name, []).append(float(value))
-
     per_draw = []
     skipped = 0
     for i in range(2 * draws):
-        out = fn(family, s, atlas, seed, i, collect, **kwargs)
-        if out is None:
+        worst = None
+        for item, lhs, rhs in ESTIMATE_KINDS[kind](family, s, atlas, seed, i, sigma):
+            ratio = _ratio_guarded(lhs, rhs)
+            if ratio is not None:
+                buckets.setdefault(item, []).append(float(ratio))
+                worst = ratio if worst is None else max(worst, ratio)
+        if worst is None:
             skipped += 1
-            per_draw.append(np.nan)
-        else:
-            per_draw.append(out)
+            worst = np.nan
+        per_draw.append(worst)
 
     per_draw = np.asarray(per_draw)
     first = per_draw[:draws]

@@ -98,15 +98,16 @@ def _gk_panels(f, a: float, b: float, panels: int):
 # --- Bessel J: series + Hankel asymptotics ----------------------------------
 
 _SERIES_CUT = 15.0
+_SERIES_TERMS = 42
 _HANKEL_TERMS = 12
 
 
-def _bessel_series(nu: float, x: np.ndarray, terms: int = 42) -> np.ndarray:
+def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
     y = (x / 2.0) ** 2
     acc = np.zeros_like(x)
     c = 1.0 / math.gamma(nu + 1.0)
     acc += c
-    for m in range(1, terms):
+    for m in range(1, _SERIES_TERMS):
         c = -c / (m * (m + nu))
         acc = acc + c * y**m
     with np.errstate(invalid="ignore"):
@@ -227,8 +228,11 @@ def angular_factor(n: int, rho) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def sphere_phase_integral(rho: float, n: int, cross_check: bool = True,
-                          tol: float = 1e-9) -> complex:
+# error target of the angular quadrature, relative to |S^{n-1}|
+_SPHERE_TOL = 1e-9
+
+
+def sphere_phase_integral(rho: float, n: int) -> complex:
     """Sphere integral by adaptive angular quadrature, checked against Bessel.
 
     Integrates |S^{n-2}| int_0^pi e^{i rho cos(alpha)} sin(alpha)^{n-2} dalpha
@@ -249,20 +253,27 @@ def sphere_phase_integral(rho: float, n: int, cross_check: bool = True,
     panels = max(16, int(np.ceil(rho * np.pi / (np.pi / 4.0))))
     value, err = _gk_panels(integrand, 0.0, np.pi, panels)
     scale = sphere_surface_area(n)
-    if err > tol * scale:
+    if err > _SPHERE_TOL * scale:
         value, err = _gk_panels(integrand, 0.0, np.pi, 4 * panels)
-        if err > tol * scale:
+        if err > _SPHERE_TOL * scale:
             raise QuadratureError(f"sphere quadrature did not converge (err {err:.2e})")
     value = prefactor * value
-    if cross_check:
-        ref = angular_factor(n, rho)
-        if abs(value - ref) > 1e-8 * max(scale, 1.0):
-            raise QuadratureError(
-                f"quadrature/Bessel mismatch at rho={rho}: {value} vs {ref}")
+    ref = angular_factor(n, rho)
+    if abs(value - ref) > 1e-8 * max(scale, 1.0):
+        raise QuadratureError(
+            f"quadrature/Bessel mismatch at rho={rho}: {value} vs {ref}")
     return value
 
 
 # --- dispersive integral -----------------------------------------------------
+
+# error target of the radial quadrature, relative to the zero-phase mass
+_RADIAL_TOL = 1e-8
+# |x| samples of the ridge search in dispersive_peak, before golden section
+_PEAK_SAMPLES = 12
+# a decay fit passes when its slope is at most -n/2 + DECAY_SLACK
+DECAY_SLACK = 0.15
+
 
 @dataclass(frozen=True)
 class PhaseIntegralSpec:
@@ -304,8 +315,7 @@ class PhaseIntegralSpec:
 
 
 def _radial_integral(n: int, s: float, cutoff, rlo: float, rhi: float,
-                     xnorm: float, t: float, tol: float = 1e-8,
-                     scale: float | None = None) -> complex:
+                     xnorm: float, t: float, scale: float | None = None) -> complex:
     """int_0^inf e^{i t r^{2s}} A_n(r |x|) cutoff(r) r^{n-1} dr with panels."""
     if rhi <= rlo:
         return 0.0 + 0.0j
@@ -332,9 +342,9 @@ def _radial_integral(n: int, s: float, cutoff, rlo: float, rhi: float,
         # error target is relative to the zero-phase mass |I(0, 0)|
         scale = abs(_gk_panels(lambda r: angular_factor(n, r * 0.0) * cutoff(r)
                                * r ** (n - 1), rlo, rhi, 64)[0])
-    if err > tol * max(scale, 1e-300):
+    if err > _RADIAL_TOL * max(scale, 1e-300):
         value2, err2 = _gk_panels(integrand, rlo, rhi, 2 * panels)
-        if err2 > tol * max(scale, 1e-300):
+        if err2 > _RADIAL_TOL * max(scale, 1e-300):
             warnings.warn(f"dispersive quadrature not converged (err {err2:.2e}); "
                           "returning partial result", stacklevel=2)
         value = value2
@@ -402,7 +412,7 @@ def dispersive_integral(spec: PhaseIntegralSpec) -> complex:
                             float(np.linalg.norm(x)), spec.t)
 
 
-def dispersive_peak(spec: PhaseIntegralSpec, t: float, refine: int = 12) -> float:
+def dispersive_peak(spec: PhaseIntegralSpec, t: float) -> float:
     """max over |x| of |I(x, t)|, searched along the stationary-phase ridge.
 
     The phase t r^{2s} - r|x| is stationary where |x| = 2 s t r^{2s-1} with r
@@ -419,7 +429,7 @@ def dispersive_peak(spec: PhaseIntegralSpec, t: float, refine: int = 12) -> floa
     r_lo_eff = max(rlo, 0.05 * rhi)
     x_lo = 0.6 * 2.0 * spec.s * t * r_lo_eff ** (2.0 * spec.s - 1.0)
     x_hi = 1.4 * 2.0 * spec.s * t * rhi ** (2.0 * spec.s - 1.0)
-    xs = np.linspace(x_lo, x_hi, refine)
+    xs = np.linspace(x_lo, x_hi, _PEAK_SAMPLES)
     vals = [value(x) for x in xs]
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
@@ -450,8 +460,8 @@ class DecayFit:
     intercept: float
     residual: float
 
-    def passes(self, n: int, slack: float = 0.15) -> bool:
-        return bool(self.slope <= -n / 2.0 + slack)
+    def passes(self, n: int) -> bool:
+        return bool(self.slope <= -n / 2.0 + DECAY_SLACK)
 
 
 def fit_dispersive_decay(spec: PhaseIntegralSpec, t_range) -> DecayFit:

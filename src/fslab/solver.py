@@ -145,6 +145,14 @@ CONFIG_KEYS = {
     "output": ("directory",),
 }
 TERM_KEYS = ("beta", "pattern", "coeff")
+# (section, key, SolveConfig field) of each solve setting, in field order.
+CONFIG_FIELDS = (
+    ("grid", "n", "n"), ("grid", "m", "m"), ("grid", "box_length", "box_length"),
+    ("equation", "s", "s"), ("time", "t_half", "t_half"), ("time", "frames", "num_frames"),
+    ("picard", "max_iterations", "max_iterations"), ("picard", "tolerance", "tolerance"),
+    ("picard", "quadrature", "quadrature"), ("picard", "epsilon", "epsilon"),
+    ("picard", "seed", "seed"), ("picard", "zero_mode_policy", "zero_mode_policy"),
+)
 
 
 def _section(section, name: str, allowed: tuple | None = None) -> dict:
@@ -174,24 +182,12 @@ def load_config(path) -> tuple:
         except yaml.YAMLError as exc:
             raise ValueError(f"config is not valid YAML: {exc}") from exc
     doc = _section(raw, "top level", tuple(CONFIG_KEYS))
-    grid = _section(doc.get("grid"), "grid")
-    time = _section(doc.get("time"), "time")
-    equation = _section(doc.get("equation"), "equation")
-    picard = _section(doc.get("picard"), "picard")
-    cfg = SolveConfig(
-        n=int(grid.get("n", 2)),
-        m=int(grid.get("m", 32)),
-        box_length=float(grid.get("box_length", 2.0 * np.pi)),
-        s=float(equation.get("s", 0.75)),
-        t_half=float(time.get("t_half", 2.0)),
-        num_frames=int(time.get("frames", 64)),
-        max_iterations=int(picard.get("max_iterations", 25)),
-        tolerance=float(picard.get("tolerance", 1e-10)),
-        quadrature=str(picard.get("quadrature", "simpson")),
-        epsilon=float(picard.get("epsilon", 1e-2)),
-        seed=int(picard.get("seed", 0)),
-        zero_mode_policy=str(picard.get("zero_mode_policy", "zero_out")),
-    )
+    sections = {name: _section(doc.get(name), name)
+                for name in ("grid", "time", "equation", "picard")}
+    # a given value is cast to the type of its field's default; SolveConfig
+    # supplies the rest
+    cfg = SolveConfig(**{attr: type(getattr(SolveConfig, attr))(sections[name][key])
+                         for name, key, attr in CONFIG_FIELDS if key in sections[name]})
     nl = _section(doc.get("nonlinearity"), "nonlinearity")
     terms = []
     for term in nl.get("terms") or []:

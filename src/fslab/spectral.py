@@ -407,20 +407,14 @@ def fractional_symbol(xi, beta: float) -> float:
     return float(norm**beta)
 
 
-def fractional_multiplier(grid: Grid, beta: float, zero_mode_policy: str = "zero_out") -> np.ndarray:
+def fractional_multiplier(grid: Grid, beta: float) -> np.ndarray:
     """Lattice array |xi|^beta with the zero mode set to 0 for beta < 0 (read-only, cached).
 
-    Both policies share the array; 'reject' is enforced on the data by
-    check_zero_mode before the array is applied.
+    Both zero-mode policies share the array; 'reject' is enforced on the
+    data by check_zero_mode before the array is applied.
     """
-    _check_policy(zero_mode_policy)
     return cached_symbol(("fractional", grid, float(beta)),
                          lambda: _fractional_values(grid, beta))
-
-
-def _check_policy(zero_mode_policy: str) -> None:
-    if zero_mode_policy not in ("zero_out", "reject"):
-        raise ValueError("zero_mode_policy must be 'zero_out' or 'reject'")
 
 
 def _fractional_values(grid: Grid, beta: float) -> np.ndarray:
@@ -460,7 +454,8 @@ def apply_fractional_values(values: np.ndarray, grid: Grid, beta: float,
     DuhamelOperator.spectrum returns it, and takes the place of the forward
     transform.
     """
-    _check_policy(zero_mode_policy)
+    if zero_mode_policy not in ("zero_out", "reject"):
+        raise ValueError("zero_mode_policy must be 'zero_out' or 'reject'")
     check_zero_mode(values, grid, beta, zero_mode_policy)
     native = cached_symbol(("fractional_native", grid, float(beta)),
                            lambda: np.fft.ifftshift(fractional_multiplier(grid, beta)))

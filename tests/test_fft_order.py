@@ -121,7 +121,7 @@ def oracle_nonlinearity(u, spec):
 
     def mult(arr, beta):
         sp = np.fft.fftshift(np.fft.fftn(arr, axes=axes), axes=axes)
-        m = fractional_multiplier(g, beta, "zero_out")
+        m = fractional_multiplier(g, beta)
         return np.fft.ifftn(np.fft.ifftshift(m[None, ...] * sp, axes=axes), axes=axes)
 
     out = np.zeros_like(vals)

@@ -243,7 +243,7 @@ class TestModulationSplit:
         traj = Trajectory(grid1d, -1.0, 2.0 / T, vals)
         pieces, rem = modulation_split(traj, 0.75, window="taper")
         from fslab.bumps import window_weights
-        w = window_weights(traj.times, 0.1)
+        w = window_weights(traj.times)
         target = traj.values * w[:, None]
         total = sum(p.values for _, p in pieces) + rem.values
         assert np.abs(total - target).max() < 1e-8 * max(np.abs(target).max(), 1e-12)

@@ -534,7 +534,8 @@ def test_maximal_draw_takes_one_spatial_transform(monkeypatch, n, m, shells):
     _count_calls(monkeypatch, fslab.norms, "spatial_spectrum", counts)
     for index in range(2):
         counts.clear()
-        assert _kind_maximal(fam, 0.75, atlas, 0, index, lambda name, value: None) is not None
+        triples = list(_kind_maximal(fam, 0.75, atlas, 0, index, (n - 1.5) / 2.0))
+        assert any(np.isfinite(rhs) and rhs > 0.0 for _, _, rhs in triples)
         assert counts == {"spatial_spectrum": 1}
     traj, k, _ = fam.draw(0, 0.75, seed=0)
     spec = spatial_spectrum(traj.values, fam.grid)
@@ -584,7 +585,8 @@ def test_modulation_table_is_two_band_and_exact(n, m, T, s):
     """The xi-resolved table holds Q_j^2 bit for bit: row j m^n + xi holds
     Q_j(r(tau, xi))^2 at the columns tau m^n + xi and nothing else, so block
     j, summed over its rows, is Q_j^2 on the lattice.  Each offset meets at
-    most two consecutive shells (so the table stays O(T m^n))."""
+    most two consecutive shells (so the table stays O(T m^n)), and the Q_j
+    telescope to exactly 1 at every lattice point, leaving no remainder."""
     grid = Grid(n, m, 2.0 * np.pi)
     dt = 2.0 / T
     table = modulation_weights(grid, T, dt, s)
@@ -605,14 +607,23 @@ def test_modulation_table_is_two_band_and_exact(n, m, T, s):
     assert hit.sum(axis=0).max() <= 2
     lowest = np.argmax(hit, axis=0)
     assert not np.any(hit & (np.arange(table.j_max + 1)[:, None] > lowest + 1))
-    assert table.remainder is None
+    assert np.all(sum(modulation_shell(r, j) for j in range(table.j_max + 1)) == 1.0)
     power = np.random.default_rng(n * m + T).random((T,) + grid.shape)
     resolved = table.resolved_sums(power)
     assert resolved.shape == (table.j_max + 1, npoints)
     sums = dense @ power.ravel()
-    assert np.allclose(table.shell_sums(power), sums, rtol=1e-13, atol=0.0)
+    assert np.allclose(resolved.sum(axis=1), sums, rtol=1e-13, atol=0.0)
     assert np.allclose(resolved, (dense.reshape(-1, T, npoints) * power.reshape(T, -1)).sum(1),
                        rtol=1e-13, atol=0.0)
+
+
+def test_modulation_table_refuses_shells_that_leave_a_remainder(monkeypatch):
+    """Too few shells for the tau lattice: the table is not built."""
+    import fslab.lp
+
+    monkeypatch.setattr(fslab.lp, "max_modulation_index", lambda *args: 1)
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        fslab.lp._build_modulation_weights(Grid(2, 16, 2.0 * np.pi), 32, 1.0 / 16, 0.75)
 
 
 def test_cached_symbols_are_read_only():

