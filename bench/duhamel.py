@@ -30,8 +30,9 @@ import sys
 
 import harness
 
-SIZES = ((2, 32, 64), (3, 32, 64))
-ITEMS = ("fft_pair", "duhamel_integral", "free_evolution", "duhamel_map", "picard_step")
+SIZES = ((2, 32, 64), (3, 32, 64), (4, 16, 32))
+ITEMS = ("phase_table", "fft_pair", "square_pair", "duhamel_integral", "free_evolution",
+         "duhamel_map", "picard_step")
 
 
 def _worker(repeats: int) -> dict:
@@ -50,6 +51,7 @@ def _worker(repeats: int) -> dict:
         shape = (frames,) + cfg.grid.shape
         forcing = spectral.Trajectory(cfg.grid, t0, cfg.dt,
                                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        square = np.abs(forcing.values) ** 2
         free = spectral.free_evolution(u0, t0, cfg.dt, frames, cfg.s)
         steps = []
 
@@ -58,7 +60,10 @@ def _worker(repeats: int) -> dict:
             steps.append(res.iterations + 1)
 
         calls = {
+            "phase_table": lambda: spectral.DuhamelOperator(cfg.grid, t0, cfg.dt, frames, cfg.s,
+                                                            "simpson"),
             "fft_pair": lambda: spectral.apply_fractional_values(forcing.values, cfg.grid, 0.5),
+            "square_pair": lambda: spectral.apply_fractional_values(square, cfg.grid, -0.5),
             "duhamel_integral": lambda: spectral.duhamel_integral(forcing, cfg.s, rule="simpson"),
             "free_evolution": lambda: spectral.free_evolution(u0, t0, cfg.dt, frames, cfg.s),
             "duhamel_map": lambda: solver.duhamel_map(free, u0, spec, cfg),

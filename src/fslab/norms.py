@@ -816,7 +816,9 @@ def verify_estimate(kind: str, family: InputFamily | None = None, *, s: float = 
     C* over the first `draws` is compared with C* over all 2*draws; the
     report passes when the worst ratio is finite and grows by < 25% under
     that doubling.  A draw whose triples give no ratio (no rhs finite and
-    positive) is skipped and counted.  sigma defaults to (n - 2s)/2.
+    positive) is skipped and counted.  sigma defaults to (n - 2s)/2;
+    params["sigma"] is the caller's argument and params["sigma_used"] the
+    value the kinds ran at.
     """
     if kind not in ESTIMATE_KINDS:
         raise ValueError(f"unknown estimate kind '{kind}'; choose from {sorted(ESTIMATE_KINDS)}")
@@ -826,18 +828,17 @@ def verify_estimate(kind: str, family: InputFamily | None = None, *, s: float = 
     if atlas is None and family.n >= 2:
         atlas = axis_cone_atlas(family.n, family.margin)
 
+    sigma_used = (family.n - 2.0 * s) / 2.0 if sigma is None else sigma
     report = RatioReport(check_id=f"estimate_{kind}",
                          params={"kind": kind, "s": s, "sigma": sigma,
-                                 "family": family.describe()},
+                                 "sigma_used": sigma_used, "family": family.describe()},
                          seed=seed)
-    if sigma is None:
-        sigma = (family.n - 2.0 * s) / 2.0
     buckets: dict = {}
     per_draw = []
     skipped = 0
     for i in range(2 * draws):
         worst = None
-        for item, lhs, rhs in ESTIMATE_KINDS[kind](family, s, atlas, seed, i, sigma):
+        for item, lhs, rhs in ESTIMATE_KINDS[kind](family, s, atlas, seed, i, sigma_used):
             ratio = _ratio_guarded(lhs, rhs)
             if ratio is not None:
                 buckets.setdefault(item, []).append(float(ratio))

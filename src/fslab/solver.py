@@ -12,6 +12,10 @@ applies it for the free term, every step and the final residual; the public
 duhamel_map builds its own and runs the same step.  The solve keeps each
 iterate's Duhamel part also as its spectrum H, so D^beta of the iterate is
 one inverse transform of M_beta (P u0_hat + H) and takes no forward one.
+A factor pair u conj(u) is the real |u|^2, whose D^{-beta} takes the real
+transforms.  The solve allocates the step's frame-sized arrays once
+(_StepArrays) and every step writes into them; duhamel_map runs the same
+step on fresh ones.
 Smallness of the data is measured in the lattice homogeneous Sobolev norm of
 order (n - 2s)/2 with the zero mode excluded.
 """
@@ -226,19 +230,61 @@ def gaussian_spectrum_data(grid: Grid, sigma: float, epsilon: float,
     return Field(grid, u0.values * (epsilon / norm))
 
 
-def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm,
-                policy: str, spectrum: np.ndarray | None = None) -> np.ndarray:
-    """One trilinear term on an array of frames (leading time axis)."""
-    conj = {"plain": (lambda a: a), "conjugate": np.conj}
-    c1, c2, c3 = (conj[p] for p in term.pattern)
-    # each factor lives only as long as the product that needs it
-    inner = apply_fractional_values(c1(vals) * c2(vals), grid, -term.beta, policy)
+class _StepArrays:
+    """The frame-sized arrays a Duhamel step writes, allocated once per solve.
+
+    `frames` are the two iterate buffers that the steps alternate between,
+    `duhamel` the Duhamel spectrum H, `forcing` the forcing from D^beta u3 to
+    its spectrum, `real` the real |u|^2 and `half` its half spectrum.
+    """
+
+    def __init__(self, shape: tuple):
+        self.frames = (np.empty(shape, complex), np.empty(shape, complex))
+        self.duhamel = np.empty(shape, complex)
+        self.forcing = np.empty(shape, complex)
+        self.real = np.empty(shape)
+        self.half = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), complex)
+
+
+def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm, policy: str,
+                spectrum: np.ndarray | None = None,
+                arrays: _StepArrays | None = None) -> np.ndarray:
+    """One trilinear term on an array of frames (leading time axis).
+
+    With `arrays`, the term is formed in arrays.forcing (its |u|^2 in
+    arrays.real and arrays.half) and allocates no frame-sized array.
+    """
+    real = half = forcing = None
+    if arrays is not None:
+        real, half, forcing = arrays.real, arrays.half, arrays.forcing
+    squared = set(term.pattern[:2]) == {"plain", "conjugate"}
+    if squared:
+        # u conj(u) = |u|^2 is real, and D^{-beta} of it takes the real
+        # transforms; forcing's array holds |Im u|^2 until D^beta u3 needs it
+        inner = np.square(vals.real, out=real)
+        inner += np.square(vals.imag, out=None if forcing is None else forcing.real)
+        inner = apply_fractional_values(inner, grid, -term.beta, policy, out=inner, work=half)
+    else:
+        conj = {"plain": (lambda a: a), "conjugate": np.conj}
+        c1, c2 = (conj[p] for p in term.pattern[:2])
+        # each factor lives only as long as the product that needs it
+        inner = apply_fractional_values(c1(vals) * c2(vals), grid, -term.beta, policy)
     # the spectrum of vals is the spectrum of a plain u3 only
-    u3_spectrum = spectrum if term.pattern[2] == "plain" else None
-    outer = apply_fractional_values(c3(vals), grid, term.beta, policy, spectrum=u3_spectrum)
-    # coeff * inner * outer, in inner's array
-    np.multiply(term.coeff, inner, out=inner)
-    return np.multiply(inner, outer, out=inner)
+    if term.pattern[2] == "plain":
+        u3, u3_spectrum = vals, spectrum
+    else:
+        u3, u3_spectrum = np.conjugate(vals, out=forcing), None
+    outer = apply_fractional_values(u3, grid, term.beta, policy, spectrum=u3_spectrum,
+                                    out=forcing)
+    if not squared:
+        # coeff * inner * outer, in inner's array
+        np.multiply(term.coeff, inner, out=inner)
+        return np.multiply(inner, outer, out=inner)
+    # the real inner times outer, then coeff, in outer's array
+    np.multiply(outer, inner, out=outer)
+    if term.coeff != 1.0:
+        np.multiply(outer, term.coeff, out=outer)
+    return outer
 
 
 def apply_nonlinearity(u: Field, spec: NonlinearitySpec, s: float,
@@ -250,16 +296,19 @@ def apply_nonlinearity(u: Field, spec: NonlinearitySpec, s: float,
 
 
 def _nonlinearity_values(vals: np.ndarray, grid: Grid, spec: NonlinearitySpec,
-                         policy: str, spectrum: np.ndarray | None = None) -> np.ndarray:
+                         policy: str, spectrum: np.ndarray | None = None,
+                         arrays: _StepArrays | None = None) -> np.ndarray:
     """F(u) on an array of frames.
 
     `spectrum`, when given, is the spectrum of `vals` that
     DuhamelOperator.spectrum forms; D^beta of a plain u3 then takes no
     forward transform.  Without it every D^beta transforms its input.
+    With `arrays`, the first term is formed in arrays.forcing and the others
+    are added to it.
     """
     out = None
     for term in spec.terms:
-        value = _term_apply(vals, grid, term, policy, spectrum)
+        value = _term_apply(vals, grid, term, policy, spectrum, arrays if out is None else None)
         out = value if out is None else np.add(out, value, out=out)
     return np.zeros_like(vals) if out is None else out
 
@@ -268,23 +317,34 @@ def duhamel_map(v: Trajectory, u0: Field, spec: NonlinearitySpec,
                 config: SolveConfig) -> Trajectory:
     """T v = free evolution of u0 plus the windowed Duhamel correction."""
     op = DuhamelOperator(v.grid, v.t0, v.dt, v.num_frames, config.s, config.quadrature)
-    return _duhamel_step(v, op, op.free(u0), spec, config)[0]
+    return _duhamel_step(v, op, op.free(u0), spec, config, _StepArrays(v.values.shape))[0]
 
 
 def _duhamel_step(v: Trajectory, op: DuhamelOperator, free: Trajectory,
-                  spec: NonlinearitySpec, config: SolveConfig,
-                  spectrum: np.ndarray | None = None) -> tuple:
-    """(T v, H) given v's frame operator and `free`, the free evolution of the data.
+                  spec: NonlinearitySpec, config: SolveConfig, arrays: _StepArrays,
+                  data_hat: np.ndarray | None = None,
+                  H: np.ndarray | None = None) -> tuple:
+    """(T v, H') given v's frame operator and `free`, the free evolution of the data.
 
-    H is the spectrum of the Duhamel part, T v = free + op.frames(H) (None
-    without nonlinear terms); `spectrum` is v's, as _nonlinearity_values
-    takes it.
+    H' is the spectrum of the Duhamel part, T v = free + op.frames(H') (None
+    without nonlinear terms).  Every frame-sized array is one of `arrays`:
+    T v is written into the iterate buffer that does not hold v, and H' into
+    arrays.duhamel.  `data_hat`, when given, is op.data_spectrum(u0) and `H`
+    v's own H' (None for the free evolution): D^beta of a plain u3 then reads
+    v's spectrum P u0_hat + H, formed in H's array, and takes no forward
+    transform.
     """
     if not spec.terms:
         return free, None
-    forcing = _nonlinearity_values(v.values, v.grid, spec, config.zero_mode_policy, spectrum)
-    H = op.integral_spectrum(forcing)
-    frames = op.frames(H)
+    out = arrays.frames[1] if v.values is arrays.frames[0] else arrays.frames[0]
+    spectrum = None
+    if data_hat is not None and any(term.pattern[2] == "plain" for term in spec.terms):
+        # P u0_hat is formed in `out`, which is free until T v is written
+        spectrum = op.spectrum(data_hat, H, work=out)
+    forcing = _nonlinearity_values(v.values, v.grid, spec, config.zero_mode_policy,
+                                   spectrum, arrays)
+    H = op.integral_spectrum(forcing, out=arrays.duhamel, work=forcing)
+    frames = op.frames(H, out=out)
     frames += free.values
     return Trajectory(v.grid, v.t0, v.dt, frames), H
 
@@ -366,14 +426,13 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
     op = DuhamelOperator(g, t0, config.dt, config.num_frames, config.s, config.quadrature)
     free = op.free(u0)
     data_hat = op.data_spectrum(u0)
-    needs_spectrum = any(term.pattern[2] == "plain" for term in spec.terms)
+    arrays = _StepArrays(free.values.shape)
     # The iterate is free + op.frames(H); only H is kept, and the iterate's
     # spectrum P u0_hat + H is formed in H's array when a step needs it.
     current, H = free, None
 
     def step():
-        spectrum = op.spectrum(data_hat, H) if needs_spectrum else None
-        return _duhamel_step(current, op, free, spec, config, spectrum)
+        return _duhamel_step(current, op, free, spec, config, arrays, data_hat, H)
 
     ref = max(u0.l2_norm(), 1e-300)
     diffs, fdiffs, ratios, trace = [], [], [], []
@@ -390,16 +449,18 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
         return PicardDivergenceError(message, result=partial)
 
     for it in range(1, config.max_iterations + 1):
-        # An overflow anywhere in the step leaves inf or nan in the iterate or
-        # in its distance to the previous one; both are checked right below.
+        # An overflow anywhere in the step leaves inf or nan in the iterate,
+        # and so in its distance to the previous, finite one; d is checked
+        # right below.
         start = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             nxt, H = step()
-            diff_traj = Trajectory(g, t0, config.dt, nxt.values - current.values)
+            # the difference goes to arrays.forcing, which the next step rewrites
+            diff_traj = Trajectory(g, t0, config.dt,
+                                   np.subtract(nxt.values, current.values, out=arrays.forcing))
             d = diff_traj.linf_l2()
         entry = {"iteration": it, "step_s": time.perf_counter() - start, "fsigma_s": None,
-                 "diff_linf_l2": d, "contraction_ratio": None,
-                 "finite": bool(np.isfinite(d) and np.all(np.isfinite(nxt.values)))}
+                 "diff_linf_l2": d, "contraction_ratio": None, "finite": bool(np.isfinite(d))}
         trace.append(entry)
         if not entry["finite"]:
             raise diverged(f"Picard iterate {it} is not finite (overflow); the last finite "

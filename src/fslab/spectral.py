@@ -13,9 +13,11 @@ reads ||f||_{L2}^2 = sum |Ff|^2 / L^n (plus a 1/(T dt) factor in time).
 
 The transforms are numpy.fft's, called from this module only, so every
 transform runs on one thread.  An n-D transform writes all its axes into one
-result array (_fftn, _ifftn): left to itself numpy allocates a new result
-per axis, and on a (64, 32, 32) batch of frames the page faults of those
-allocations took longer than the transform.
+result array (_fftn, _ifftn, and rfftn in apply_fractional_values): left to
+itself numpy allocates a new result per axis, and on a (64, 32, 32) batch of
+frames the page faults of those allocations took longer than the transform.
+D^beta of real data (the |u|^2 of the nonlinearity) takes the real
+transforms on the half spectrum and stays real.
 
 FFT order is decided in this module only.  Spectra cross the public boundary
 (dft_forward, dft_inverse, spatial_spectrum, idft_phases, SpacetimeSpectrum,
@@ -34,12 +36,15 @@ check_zero_mode.
 
 The linear time evolution of a frame lattice is one DuhamelOperator: a phase
 table e^{i t |xi|^{2s}}, the signed cumulative quadrature rule as a (T, T)
-matrix, and the time cut-off.  free_evolution and duhamel_integral each
-build one; a Picard solve builds one and reuses it for every step.  The
-solver carries each iterate's Duhamel part as the spectrum H that
-DuhamelOperator.integral_spectrum returns, so that D^beta of the iterate
-(apply_fractional_values with spectrum=DuhamelOperator.spectrum(...)) takes
-one inverse transform and no forward one.
+matrix, and the time cut-off.  Every phase table takes one exp per distinct
+value of omega(|xi|) and gathers it onto the lattice.  free_evolution and
+duhamel_integral each build one; a Picard solve builds one and reuses it
+for every step.  The solver carries each iterate's Duhamel part as the
+spectrum H that DuhamelOperator.integral_spectrum returns, so that D^beta of
+the iterate (apply_fractional_values with
+spectrum=DuhamelOperator.spectrum(...)) takes one inverse transform and no
+forward one.  The frame-sized results of apply_fractional_values and of the
+operator's methods can be written into the caller's arrays (out=, work=).
 
 Symbols that depend only on the lattice (multipliers, modulation-weight
 tables, cone partitions, shell weight tables) are memoized in one bounded
@@ -445,21 +450,42 @@ def check_zero_mode(values: np.ndarray, grid: Grid, beta: float, zero_mode_polic
 
 def apply_fractional_values(values: np.ndarray, grid: Grid, beta: float,
                             zero_mode_policy: str = "zero_out",
-                            spectrum: np.ndarray | None = None) -> np.ndarray:
+                            spectrum: np.ndarray | None = None,
+                            out: np.ndarray | None = None,
+                            work: np.ndarray | None = None) -> np.ndarray:
     """D^beta over the trailing n axes of `values` (a field or all frames at once).
 
     The zero-mode policy is checked on the data first; the multiplier is the
     cached FFT-native copy of fractional_multiplier, so nothing is shifted.
-    `spectrum`, when given, is the spectrum of `values` as
-    DuhamelOperator.spectrum returns it, and takes the place of the forward
-    transform.
+    Real `values` take the real transforms (rfftn, the multiplier on the
+    half spectrum, irfftn) and give a real array; complex ones the complex
+    transforms.  `spectrum`, when given with complex values, is their
+    spectrum as DuhamelOperator.spectrum returns it, and takes the place of
+    the forward transform.  The result is written into `out` and, for real
+    values, the half spectrum into `work`, each allocated when not given;
+    `out` may be `values` itself when the caller gives its input up.
     """
     if zero_mode_policy not in ("zero_out", "reject"):
         raise ValueError("zero_mode_policy must be 'zero_out' or 'reject'")
     check_zero_mode(values, grid, beta, zero_mode_policy)
-    native = cached_symbol(("fractional_native", grid, float(beta)),
-                           lambda: np.fft.ifftshift(fractional_multiplier(grid, beta)))
-    return _apply_native_multiplier(values, grid, native, spectrum)
+    if np.iscomplexobj(values):
+        return _apply_native_multiplier(values, grid, _fractional_native(grid, beta),
+                                        spectrum, out)
+    half = cached_symbol(("fractional_half", grid, float(beta)),
+                         lambda: _fractional_native(grid, beta)[..., : grid.m // 2 + 1].copy())
+    axes = tuple(range(values.ndim - grid.n, values.ndim))
+    if work is None:
+        # one array for every axis of the forward transform; see _fftn
+        work = np.empty(values.shape[:-1] + half.shape[-1:], complex)
+    product = np.fft.rfftn(values, axes=axes, out=work)
+    product *= half
+    return np.fft.irfftn(product, s=grid.shape, axes=axes, out=out)
+
+
+def _fractional_native(grid: Grid, beta: float) -> np.ndarray:
+    """fractional_multiplier in FFT-native order (read-only, cached)."""
+    return cached_symbol(("fractional_native", grid, float(beta)),
+                         lambda: np.fft.ifftshift(fractional_multiplier(grid, beta)))
 
 
 def apply_fractional(f: Field, beta: float, zero_mode_policy: str = "zero_out") -> Field:
@@ -485,22 +511,34 @@ def apply_spatial_multiplier(values: np.ndarray, grid: Grid, mult: np.ndarray) -
 
 
 def _apply_native_multiplier(values: np.ndarray, grid: Grid, native: np.ndarray,
-                             spectrum: np.ndarray | None = None) -> np.ndarray:
-    """ifftn(native * fftn(values)) over the trailing n axes; `spectrum` is fftn(values) if known."""
+                             spectrum: np.ndarray | None = None,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """ifftn(native * fftn(values)) over the trailing n axes, in `out` if given.
+
+    `spectrum` is fftn(values) if known.
+    """
     axes = tuple(range(values.ndim - grid.n, values.ndim))
     if spectrum is None:
-        spectrum = _fftn(values, axes=axes)
+        spectrum = _fftn(values, axes=axes, out=out)
         product = np.multiply(native, spectrum, out=spectrum)
     else:
-        product = native * spectrum
+        product = np.multiply(native, spectrum, out=out)
     # the product is this call's own array, so the inverse may overwrite it
     return _ifftn(product, axes, out=product)
 
 
 def _phase_table(times: np.ndarray, native_omega: np.ndarray) -> np.ndarray:
-    """e^{i t omega(xi)} for each t in `times`; omega grid-sized in FFT-native order."""
-    tshape = (-1,) + (1,) * native_omega.ndim
-    return np.exp(1j * np.reshape(times, tshape) * native_omega[None, ...])
+    """e^{i t omega(xi)} for each t in `times`; omega grid-sized in FFT-native order.
+
+    Every omega the callers pass is a function of |xi|, which takes few
+    distinct values on the lattice (135 of 1024 points at n=2, m=32), so the
+    exponential is taken once per distinct value and gathered onto the
+    lattice.  Each entry is the exp of the same argument as pointwise, so
+    the table is the pointwise one bit for bit.
+    """
+    values, classes = np.unique(native_omega, return_inverse=True)
+    table = np.exp(1j * np.reshape(times, (-1, 1)) * values[None, :])
+    return np.take(table, classes.reshape(native_omega.shape), axis=1)
 
 
 def evolve_spectrum(spec0: np.ndarray, grid: Grid, times: np.ndarray,
@@ -691,17 +729,23 @@ class DuhamelOperator:
         """u0_hat: the unscaled spectrum of the data, FFT-native order."""
         return _fftn(u0.values)
 
-    def frames(self, spectrum: np.ndarray) -> np.ndarray:
-        """The frames whose unscaled FFT-native spectrum is `spectrum` (one inverse transform)."""
-        return _ifftn(spectrum, axes=self._axes)
+    def frames(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The frames whose unscaled FFT-native spectrum is `spectrum` (one inverse transform).
 
-    def spectrum(self, data_hat: np.ndarray, duhamel: np.ndarray | None = None) -> np.ndarray:
+        They are written into `out` if given.
+        """
+        return _ifftn(spectrum, axes=self._axes, out=out)
+
+    def spectrum(self, data_hat: np.ndarray, duhamel: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
         """P * data_hat + duhamel: the spectrum of the frames free(u0) + frames(duhamel).
 
         `data_hat` is data_spectrum(u0) and `duhamel` an integral_spectrum.
-        The sum is formed in the `duhamel` array, which the caller gives up.
+        The sum is formed in the `duhamel` array, which the caller gives up;
+        P * data_hat is formed in `work` (allocated when not given), which is
+        the result when there is no `duhamel`.
         """
-        free_part = self.phases * data_hat
+        free_part = np.multiply(self.phases, data_hat, out=work)
         if duhamel is None:
             return free_part
         duhamel += free_part
@@ -714,16 +758,24 @@ class DuhamelOperator:
         frames = self.frames(self.phases * spec0[None, ...]) / g.dx**g.n
         return Trajectory(g, self.t0, self.dt, frames)
 
-    def integral_spectrum(self, forcing: np.ndarray) -> np.ndarray:
-        """H, the FFT-native spectrum of the Duhamel term of the forcing frames."""
+    def integral_spectrum(self, forcing: np.ndarray, out: np.ndarray | None = None,
+                          work: np.ndarray | None = None) -> np.ndarray:
+        """H, the FFT-native spectrum of the Duhamel term of the forcing frames.
+
+        H is written into `out` and the forcing's spectrum into `work`, each
+        allocated when not given; `work` may be `forcing` itself when the
+        caller gives the forcing up.
+        """
         T = self.num_frames
         if forcing.shape[0] != T:
             raise ValueError("forcing frames do not match the operator's lattice")
-        W = _fftn(forcing, axes=self._axes)
-        W *= np.conj(self.phases)
+        W = _fftn(forcing, axes=self._axes, out=work)
+        # conj(P) is held in H's array until the product is taken
+        H = np.conjugate(self.phases, out=out)
+        W *= H
         # the real (T, T) weights act on the real and imaginary parts alike
-        H = (self._weights @ W.reshape(T, -1).view(np.float64)).view(np.complex128)
-        H = H.reshape(W.shape)
+        np.matmul(self._weights, W.reshape(T, -1).view(np.float64),
+                  out=H.reshape(T, -1).view(np.float64))
         H *= self.phases
         H *= -1j
         return H

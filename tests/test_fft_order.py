@@ -4,13 +4,18 @@ The spectral helpers are pinned bit for bit against the hand-written
 centred-order shift sequences they replaced, which are kept here as
 oracles.  The Duhamel integral is the exception: its matrix form sums the
 quadrature in a different order, so it is pinned to 1e-14 of the oracle's
-scale.  The transforms are numpy.fft's, each written into one result
-array; that is pinned bit for bit against numpy's own call.  A source scan
+scale.  The nonlinearity's |u|^2 takes the real transforms, so F(u) is
+pinned to 1e-14 of the oracle's scale, and both are held to a long-double
+direct DFT.  The phase table takes one exp per |xi| class and is pinned bit
+for bit against the pointwise exp.  The transforms are numpy.fft's, each
+written into one result array; that is pinned bit for bit against numpy's
+own call.  A source scan
 keeps fftshift / ifftshift and every transform inside spectral.py, on
 numpy.fft and without workers=.
 """
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +23,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 import fslab
+from fslab import solver
 from fslab.bumps import time_cutoff
 from fslab.solver import (
     NonlinearitySpec,
@@ -30,12 +36,15 @@ from fslab.solver import (
     picard_solve,
 )
 from fslab.spectral import (
+    DuhamelOperator,
     Field,
     Trajectory,
     ZeroModeError,
     _fftn,
     _ifftn,
+    _phase_table,
     apply_fractional,
+    apply_fractional_values,
     apply_spatial_multiplier,
     dft_forward,
     duhamel_integral,
@@ -79,6 +88,12 @@ def oracle_evolve(spec0, grid, times, omega):
     phases = np.exp(1j * times.reshape((-1,) + (1,) * grid.n) * omega[None, ...])
     return np.fft.ifftn(np.fft.ifftshift(phases * spec0[None, ...], axes=axes),
                         axes=axes) / grid.dx**grid.n
+
+
+def oracle_phase_table(times, native_omega):
+    """The pointwise table: one exp per lattice point and time."""
+    tshape = (-1,) + (1,) * native_omega.ndim
+    return np.exp(1j * np.reshape(times, tshape) * native_omega[None, ...])
 
 
 def oracle_free_evolution(u0, t0, dt, num_frames, s):
@@ -129,6 +144,48 @@ def oracle_nonlinearity(u, spec):
         f1, f2, f3 = (conj[p](vals) for p in term.pattern)
         out = out + term.coeff * mult(f1 * f2, -term.beta) * mult(f3, term.beta)
     return out[0]
+
+
+# A direct DFT in long double: the transforms' rounding sits far below it,
+# so the distance to it is the float64 kernel's own error.
+
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _long_dft_matrix(m: int, sign: int) -> np.ndarray:
+    turns = (np.outer(np.arange(m), np.arange(m)) % m).astype(np.longdouble) / m
+    angle = 2 * LONG_PI * turns
+    return np.cos(angle) + sign * 1j * np.sin(angle)
+
+
+def _long_multiplier(values, grid, mult):
+    """ifftn(ifftshift(mult) * fftn(values)) over the trailing n axes, by direct DFT."""
+    forward, inverse = _long_dft_matrix(grid.m, -1), _long_dft_matrix(grid.m, 1)
+    spec = values.astype(np.clongdouble)
+    lead = spec.ndim - grid.n
+    for axis in range(lead, spec.ndim):
+        spec = np.moveaxis(np.tensordot(forward, spec, axes=([1], [axis])), 0, axis)
+    spec = spec * np.fft.ifftshift(mult).astype(np.longdouble)
+    for axis in range(lead, spec.ndim):
+        spec = np.moveaxis(np.tensordot(inverse, spec, axes=([1], [axis])), 0, axis)
+    return spec / grid.npoints
+
+
+def long_fractional_of_square(u, grid, beta):
+    """D^{-beta} |u|^2 in long double."""
+    square = u.real.astype(np.longdouble) ** 2 + u.imag.astype(np.longdouble) ** 2
+    return _long_multiplier(square, grid, fractional_multiplier(grid, -beta))
+
+
+def long_nonlinearity(u, grid, beta):
+    """(D^{-beta} |u|^2) D^beta u in long double."""
+    return (long_fractional_of_square(u, grid, beta)
+            * _long_multiplier(u, grid, fractional_multiplier(grid, beta)))
+
+
+def relative_error(values, oracle) -> float:
+    """Max-abs deviation over the oracle's max-abs, in long double."""
+    return float(np.max(np.abs(values - oracle)) / np.max(np.abs(oracle)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +255,35 @@ def test_nonlinearity_matches_oracle(grid):
     specs = (default_nonlinearity(0.75),
              NonlinearitySpec((NonlinearityTerm(-0.25, ("conjugate", "plain", "conjugate"),
                                                 0.5 - 1j),)))
+    # both terms hold u conj(u), whose D^{-beta} takes the real transforms
     for spec in specs:
-        assert np.array_equal(apply_nonlinearity(u, spec, 0.75).values,
-                              oracle_nonlinearity(u, spec))
+        assert_close_to_oracle(apply_nonlinearity(u, spec, 0.75).values,
+                               oracle_nonlinearity(u, spec))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.n}")
+def test_real_path_meets_long_double_oracle(grid):
+    """D^{-beta}|u|^2 and F(u) to 1e-14 of a long-double direct DFT.
+
+    The complex path, which the real one replaced for |u|^2, is held to the
+    same oracle and bound.
+    """
+    u = _values(grid, np.random.default_rng(11), 4)
+    beta = 0.5
+    square = u.real**2 + u.imag**2
+    real_path = apply_fractional_values(square, grid, -beta)
+    assert not np.iscomplexobj(real_path)
+    oracle = long_fractional_of_square(u, grid, beta)
+    assert relative_error(real_path, oracle) <= 1e-14
+    complex_path = apply_fractional_values(square + 0j, grid, -beta)
+    assert np.iscomplexobj(complex_path)
+    assert relative_error(complex_path, oracle) <= 1e-14
+
+    spec = default_nonlinearity(0.75)
+    oracle = long_nonlinearity(u, grid, beta)
+    assert relative_error(_nonlinearity_values(u, grid, spec, "zero_out"), oracle) <= 1e-14
+    parent = np.stack([oracle_nonlinearity(Field(grid, frame), spec) for frame in u])
+    assert relative_error(parent, oracle) <= 1e-14
 
 
 @pytest.mark.parametrize("shape, axes", [((16,), None), ((8, 8), None), ((4, 8, 8), (1, 2)),
@@ -232,21 +315,41 @@ def test_nonlinearity_from_spectrum_is_bit_identical(grid):
     assert np.array_equal(spectrum, kept)
 
 
+@pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"n{g.n}")
+def test_nonlinearity_in_step_arrays_is_bit_identical(grid):
+    """F(u) formed in a solve's arrays equals F(u) in fresh ones, term by term."""
+    vals = _values(grid, np.random.default_rng(9), 8)
+    spectrum = np.fft.fftn(vals, axes=tuple(range(1, grid.n + 1)))
+    spec = NonlinearitySpec((
+        NonlinearityTerm(-0.25, ("conjugate", "plain", "conjugate"), 0.5 - 1j),
+        NonlinearityTerm(0.5),
+        NonlinearityTerm(0.3, ("plain", "plain", "conjugate"), 2.0),
+    ))
+    for given in (None, spectrum):
+        fresh = _nonlinearity_values(vals, grid, spec, "zero_out", given)
+        arrays = solver._StepArrays(vals.shape)
+        formed = _nonlinearity_values(vals, grid, spec, "zero_out", given, arrays)
+        assert formed is arrays.forcing
+        assert np.array_equal(formed, fresh)
+
+
 def test_picard_step_takes_five_frame_transforms(monkeypatch):
-    """Two D^beta, the forcing's forward transform and two inverses per step."""
+    """|u|^2 there and back in the real transforms, D^beta u's inverse, the
+    forcing's forward transform and the iterate's inverse per step."""
     cfg = SolveConfig(n=2, m=16, num_frames=32, epsilon=0.5, tolerance=1e-14)
     u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=1)
     frame_shape = (cfg.num_frames,) + cfg.grid.shape
+    half_shape = frame_shape[:-1] + (cfg.m // 2 + 1,)
     counts = {}
 
     def counting(name, inner):
         def counted(x, *args, **kwargs):
-            if np.shape(x) == frame_shape:
+            if np.shape(x) in (frame_shape, half_shape):
                 counts[name] = counts.get(name, 0) + 1
             return inner(x, *args, **kwargs)
         return counted
 
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     per_solve = []
     for iterations in (1, 2):
@@ -256,9 +359,70 @@ def test_picard_step_takes_five_frame_transforms(monkeypatch):
         assert res.iterations == iterations and not res.converged
         per_solve.append(dict(counts))
     # the free evolution takes one inverse, and every step, the final
-    # residual's included, two forward transforms and three inverses
-    assert per_solve[0] == {"fftn": 2 * 2, "ifftn": 1 + 3 * 2}
-    assert per_solve[1] == {"fftn": 2 * 3, "ifftn": 1 + 3 * 3}
+    # residual's included, fftn 1, rfftn 1, ifftn 2 and irfftn 1
+    for steps, counted in zip((2, 3), per_solve):
+        assert counted == {"fftn": steps, "rfftn": steps, "ifftn": 1 + 2 * steps,
+                           "irfftn": steps}
+
+
+def test_picard_steps_allocate_no_frame_batch(monkeypatch):
+    """After the first, no step allocates an array as large as the frames.
+
+    The largest allocation left is numpy's own: irfftn's inverse along the
+    leading axes makes a half spectrum, about half the frames' size.  At
+    m=32 the frames also outsize numpy's fixed 8192-element ufunc buffer,
+    which the complex-by-real product of a step fills.
+    """
+    cfg = SolveConfig(n=2, m=32, num_frames=32, epsilon=0.5, tolerance=1e-14,
+                      max_iterations=4)
+    u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=1)
+    frame_bytes = cfg.num_frames * cfg.grid.npoints * np.dtype(complex).itemsize
+    step = solver._duhamel_step
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = step(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(solver, "_duhamel_step", traced)
+    tracemalloc.start()
+    try:
+        res = picard_solve(u0, default_nonlinearity(cfg.s), cfg, fsigma_diffs=False)
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 4 and len(peaks) == 5
+    assert max(peaks[1:]) < frame_bytes
+
+
+PHASE_GRIDS = [make_grid(1, 32, 2.0 * np.pi), make_grid(2, 16, 2.0 * np.pi),
+               make_grid(3, 8, 5.0), make_grid(4, 8, 2.0 * np.pi)]
+# the three omega forms of the callers: the dispersion, a modulated shell
+# and the static data
+OMEGAS = {"dispersion": lambda w2s: w2s, "modulated": lambda w2s: w2s + 1.5 * 2.0**2,
+          "static": np.zeros_like}
+
+
+@pytest.mark.parametrize("grid", PHASE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("form", sorted(OMEGAS))
+@pytest.mark.parametrize("s", [0.75, 0.9])
+def test_phase_table_matches_pointwise_exp(grid, form, s):
+    times = -2.0 + 0.0625 * np.arange(64)
+    native = np.fft.ifftshift(OMEGAS[form](grid.freq_norm ** (2.0 * s)))
+    assert np.array_equal(_phase_table(times, native), oracle_phase_table(times, native))
+    spec0 = _values(grid, np.random.default_rng(12), 0)
+    omega = np.fft.fftshift(native)
+    assert np.array_equal(evolve_spectrum(spec0, grid, times, omega),
+                          oracle_evolve(spec0, grid, times, omega))
+
+
+@pytest.mark.parametrize("grid", PHASE_GRIDS, ids=lambda g: f"n{g.n}")
+def test_operator_phases_match_pointwise_exp(grid):
+    op = DuhamelOperator(grid, -2.0, 0.0625, 64, 0.75, "simpson")
+    native = np.fft.ifftshift(grid.freq_norm ** 1.5)
+    assert np.array_equal(op.phases, oracle_phase_table(op.times, native))
 
 
 # A numpy.fft transform (the shifts are permutations and stay allowed),
@@ -311,12 +475,13 @@ def test_one_reject_check_for_fractional_and_nonlinearity(grid):
         apply_fractional(u, -0.5, zero_mode_policy="reject")
     with pytest.raises(ZeroModeError, match="nonzero mean"):
         apply_nonlinearity(u, spec, 0.75, zero_mode_policy="reject")
-    # zero_out keeps both on the oracles, bit for bit
+    # zero_out keeps both on the oracles: D^beta bit for bit, and F(u),
+    # whose |u|^2 takes the real transforms, to 1e-14 of its scale
     mult = fractional_multiplier(grid, -0.5)
     assert np.array_equal(apply_fractional(u, -0.5).values,
                           oracle_spatial_multiplier(u.values, grid, mult))
-    assert np.array_equal(apply_nonlinearity(u, spec, 0.75).values,
-                          oracle_nonlinearity(u, spec))
+    assert_close_to_oracle(apply_nonlinearity(u, spec, 0.75).values,
+                           oracle_nonlinearity(u, spec))
     # data with zero mean passes the reject check unchanged
     mean_zero = Field(grid, u.values - u.values.mean())
     assert np.array_equal(apply_fractional(mean_zero, -0.5, zero_mode_policy="reject").values,

@@ -444,3 +444,18 @@ def test_estimate_report_matches_pin(kind, n, seed):
     for name, pinned in items.items():
         got = tuple(rep.items[name][stat] for stat in ("min", "max", "cstar"))
         assert got == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", PIN_SIGMA_KINDS)
+def test_report_records_the_sigma_it_ran_at(kind):
+    s, n = 0.75, 2
+    critical = (n - 2.0 * s) / 2.0
+    family = _pin_family(kind, n)
+    default = verify_estimate(kind, family, s=s, draws=1, seed=0)
+    assert default.params["sigma"] is None
+    assert default.params["sigma_used"] == critical
+    explicit = verify_estimate(kind, family, s=s, draws=1, seed=0, sigma=critical)
+    assert explicit.params["sigma"] == explicit.params["sigma_used"] == critical
+    assert explicit.items == default.items and explicit.cstar == default.cstar
+    off = verify_estimate(kind, family, s=s, draws=1, seed=0, sigma=critical + 0.25)
+    assert off.params["sigma"] == off.params["sigma_used"] == critical + 0.25

@@ -145,6 +145,27 @@ class TestDuhamel:
         assert np.abs(out_c.values - sub).max() < 1e-4 * scale
 
 
+
+def _assert_solve_matches_duhamel_map(res, u0, spec, cfg):
+    """The solve's iteration spelled with the public map stops at the same step.
+
+    The map rebuilds the operator and the free evolution on every call, and
+    transforms its physical input where the solve reads D^beta u from the
+    spectrum it carries, so the two agree to rounding, not bit for bit.
+    """
+    current = free_evolution(u0, -cfg.t_half, cfg.dt, cfg.num_frames, cfg.s)
+    ref = u0.l2_norm()
+    for iterations in range(1, cfg.max_iterations + 1):
+        nxt = duhamel_map(current, u0, spec, cfg)
+        diff = Trajectory(cfg.grid, current.t0, cfg.dt, nxt.values - current.values)
+        current = nxt
+        if diff.linf_l2() <= cfg.tolerance * ref:
+            break
+    assert iterations == res.iterations
+    scale = np.max(np.abs(current.values))
+    assert np.max(np.abs(res.trajectory.values - current.values)) <= 1e-14 * scale
+    assert abs(res.duhamel_residual - residual_check(current, u0, spec, cfg)) <= 1e-14
+
 class TestPicard:
     def test_zero_data_one_iteration(self, config):
         g = config.grid
@@ -206,23 +227,22 @@ class TestPicard:
         assert len(built) == 1 and len(freed) == 1
         monkeypatch.undo()
         assert res.iterations > 5
-        # The same iteration spelled with the public map, which rebuilds the
-        # operator and the free evolution on every call, stops at the same
-        # step.  The map transforms its physical input where the solve reads
-        # D^beta u from the spectrum it carries, so the two agree to
-        # rounding, not bit for bit.
-        current = free_evolution(u0, -cfg.t_half, cfg.dt, cfg.num_frames, cfg.s)
-        ref = u0.l2_norm()
-        for iterations in range(1, cfg.max_iterations + 1):
-            nxt = duhamel_map(current, u0, spec, cfg)
-            diff = Trajectory(cfg.grid, current.t0, cfg.dt, nxt.values - current.values)
-            current = nxt
-            if diff.linf_l2() <= cfg.tolerance * ref:
-                break
-        assert iterations == res.iterations
-        scale = np.max(np.abs(current.values))
-        assert np.max(np.abs(res.trajectory.values - current.values)) <= 1e-14 * scale
-        assert abs(res.duhamel_residual - residual_check(current, u0, spec, cfg)) <= 1e-14
+        _assert_solve_matches_duhamel_map(res, u0, spec, cfg)
+
+    def test_multi_term_solve_matches_duhamel_map(self):
+        # the first term is formed in the solve's arrays and the others are
+        # added to it; a conjugate u3 takes its own forward transform
+        cfg = SolveConfig(n=2, m=16, s=0.75, num_frames=32, epsilon=0.7, tolerance=1e-12,
+                          max_iterations=40, quadrature="simpson")
+        u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, 0.6, seed=2)
+        spec = NonlinearitySpec((
+            NonlinearityTerm(0.25, ("conjugate", "plain", "conjugate"), 0.5 - 0.25j),
+            NonlinearityTerm(0.5),
+            NonlinearityTerm(-0.25, ("plain", "plain", "conjugate"), 0.3),
+        ))
+        res = picard_solve(u0, spec, cfg, fsigma_diffs=False)
+        assert res.converged and res.iterations > 3
+        _assert_solve_matches_duhamel_map(res, u0, spec, cfg)
 
     def test_log_linear_contraction_tail(self):
         # larger data gives a visible geometric tail before hitting tolerance
