@@ -27,7 +27,6 @@ from .spectral import (
 )
 from .lp import (
     ConeAtlas,
-    ProjectionSpec,
     build_cone_atlas,
     project,
     modulation_split,

@@ -1,10 +1,12 @@
 """Littlewood-Paley projections, box tilings and the directional cone atlas.
 
-All projections act by pointwise multiplication on a centered spectrum:
-dyadic shells Delta_k and their cumulative Delta_{<=k}, modulation shells
-Q_j measured from the characteristic tau = -|xi|^{2s}, box projections
-P_{k,l} built from translated chi cutoffs, and cone cutoffs theta_e from a
-finite partition of unity on the unit sphere.
+A projection is its multiplier, applied by project(X, mult) to a centred
+spectrum: dyadic shells Delta_k (dyadic_shell), modulation shells Q_j
+measured from the characteristic tau = -|xi|^{2s} (modulation_shell of
+modulation_offset), boxes P_{k,l} (box_multiplier) and cone cutoffs theta_e
+(ConeAtlas.multiplier, or cone_cutoff_values).  signed_axis is the one rule
+from a direction to a lattice axis; an atlas applies it once (signed_axes)
+and is identified in the symbol cache by its values (key).
 
 The grid-only symbols (dyadic shells, the cone partition table, the
 modulation-weight table and the per-shell weight tables of the X_k / Y_k^e
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +39,12 @@ from .spectral import (
 __all__ = [
     "ConeAtlas",
     "ModulationWeights",
-    "ProjectionSpec",
     "build_cone_atlas",
     "cone_cutoff_values",
     "project",
     "box_lattice",
     "box_centers",
+    "box_multiplier",
     "dyadic_shell",
     "modulation_shell",
     "modulation_split",
@@ -49,7 +52,7 @@ __all__ = [
     "max_modulation_index",
     "ShellTable",
     "shell_table",
-    "shell_gate",
+    "signed_axis",
     "y_gate",
 ]
 
@@ -93,6 +96,17 @@ class ConeAtlas:
     def num_directions(self) -> int:
         return self.directions.shape[0]
 
+    @cached_property
+    def key(self) -> tuple:
+        """The atlas's values as plain numbers: its identity in the symbol cache."""
+        return (self.n, self.margin, self.plateau_cos, self.support_cos,
+                tuple(map(tuple, self.directions.tolist())))
+
+    @cached_property
+    def signed_axes(self) -> tuple:
+        """signed_axis of every direction; the Y_k^e kernels take no other atlas."""
+        return tuple(signed_axis(e, self.n) for e in self.directions)
+
     def _raw_bumps(self, omegas: np.ndarray) -> np.ndarray:
         """Unnormalized cap bumps, shape (num_directions, num_points)."""
         dots = self.directions @ omegas.T
@@ -111,12 +125,11 @@ class ConeAtlas:
     def multipliers(self, grid: Grid) -> np.ndarray:
         """theta_e(xi/|xi|) for every direction, shape (K,) + grid.shape; zero mode gets 0.
 
-        Built once per grid and atlas values (directions and cap cosines),
-        then served read-only from the symbol cache.
+        Built once per grid and atlas key, then served read-only from the
+        symbol cache.
         """
-        key = ("cone_atlas", grid, self.directions.shape, self.directions.tobytes(),
-               self.plateau_cos, self.support_cos)
-        return cached_symbol(key, lambda: self._multiplier_table(grid))
+        return cached_symbol(("cone_atlas", grid, self.key),
+                             lambda: self._multiplier_table(grid))
 
     def _multiplier_table(self, grid: Grid) -> np.ndarray:
         norm = grid.freq_norm
@@ -205,60 +218,29 @@ def cone_cutoff_values(grid: Grid, e, margin: float) -> np.ndarray:
     return out
 
 
-@dataclass
-class ProjectionSpec:
-    """Which multiplier to apply: dyadic / dyadic_leq / modulation / box / cone."""
-
-    kind: str
-    k: int | None = None
-    j: int | None = None
-    l: tuple | None = None
-    e: int | np.ndarray | None = None
-    s: float | None = None
-    margin: float | None = None
-    atlas: ConeAtlas | None = None
-    atlas_index: int | None = None
-
-    def __post_init__(self):
-        kinds = ("dyadic", "dyadic_leq", "modulation", "box", "cone")
-        if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}")
-        if self.kind in ("dyadic", "dyadic_leq") and self.k is None:
-            raise ValueError("dyadic projection needs k")
-        if self.kind == "modulation" and (self.j is None or self.s is None):
-            raise ValueError("modulation projection needs j and s")
-        if self.kind == "box" and (self.k is None or self.l is None):
-            raise ValueError("box projection needs k and l")
-        if self.kind == "cone":
-            if self.atlas is not None:
-                if self.atlas_index is None:
-                    raise ValueError("cone projection from an atlas needs atlas_index")
-            elif self.e is None or self.margin is None:
-                raise ValueError("standalone cone projection needs e and margin")
+def signed_axis(e, n: int) -> tuple:
+    """(axis, sign) of e, an axis index 0 <= e < n (sign +1) or a vector along
+    one of +-e_axis in R^n; any other e raises ValueError."""
+    if isinstance(e, (int, np.integer)):
+        if not 0 <= e < n:
+            raise ValueError(f"axis index {e} out of range for n = {n}")
+        return int(e), 1.0
+    unit = np.asarray(e, dtype=float)
+    length = np.linalg.norm(unit)
+    if unit.shape == (n,) and length > 0.0:
+        unit = unit / length
+        axis = int(np.argmax(np.abs(unit)))
+        sign = float(np.sign(unit[axis]))
+        if np.linalg.norm(unit - sign * np.eye(n)[axis]) <= 1e-9:
+            return axis, sign
+    raise ValueError(f"direction {tuple(np.ravel(e).tolist())} is not a signed lattice axis "
+                     f"of R^{n}; rotated evaluation not enabled")
 
 
 def dyadic_shell(grid: Grid, k: int) -> np.ndarray:
     """Symbol phi(|xi| / 2^k) of Delta_k on the lattice (read-only, cached)."""
     return cached_symbol(("dyadic_shell", grid, k),
                          lambda: bumps.phi_shell(grid.freq_norm / 2.0**k))
-
-
-def _spatial_multiplier(grid: Grid, spec: ProjectionSpec) -> np.ndarray:
-    if spec.kind == "dyadic":
-        return dyadic_shell(grid, spec.k)
-    if spec.kind == "dyadic_leq":
-        return bumps.eta_bump(grid.freq_norm / 2.0**spec.k)
-    if spec.kind == "box":
-        scale = 2.0**spec.k
-        mult = np.ones(grid.shape)
-        for axis in range(grid.n):
-            mult = mult * bumps.chi_box((grid.freq_component(axis) - spec.l[axis]) / scale)
-        return mult
-    if spec.kind == "cone":
-        if spec.atlas is not None:
-            return spec.atlas.multiplier(grid, spec.atlas_index)
-        return cone_cutoff_values(grid, spec.e, spec.margin)
-    raise ValueError(f"not a spatial projection: {spec.kind}")
 
 
 def modulation_shell(r, j: int):
@@ -271,19 +253,18 @@ def modulation_shell(r, j: int):
     return bumps.phi_shell(r / 2.0**j)
 
 
-def project(X, spec: ProjectionSpec):
-    """Apply the named cutoff to a frequency-side Field or a SpacetimeSpectrum."""
-    if spec.kind == "modulation":
-        if not isinstance(X, SpacetimeSpectrum):
-            raise TypeError("modulation projections Q_j need a SpacetimeSpectrum")
-        mult = modulation_shell(modulation_offset(X, spec.s), spec.j)
-        return SpacetimeSpectrum(X.grid, X.t0, X.dt, X.window, mult * X.values)
-    mult = _spatial_multiplier(X.grid, spec)
+def project(X, mult: np.ndarray):
+    """mult * X for a frequency-side Field or a SpacetimeSpectrum X.
+
+    A spatial symbol is grid-shaped; a Q_j symbol is shaped (T,) + grid and
+    takes a SpacetimeSpectrum only.
+    """
     if isinstance(X, SpacetimeSpectrum):
-        return SpacetimeSpectrum(X.grid, X.t0, X.dt, X.window, mult[None, ...] * X.values)
-    if isinstance(X, Field):
-        return Field(X.grid, mult * X.values)
-    raise TypeError("project expects a Field (frequency side) or SpacetimeSpectrum")
+        return SpacetimeSpectrum(X.grid, X.t0, X.dt, X.window, mult * X.values)
+    if not isinstance(X, Field) or np.shape(mult) != X.grid.shape:
+        raise TypeError("project takes a Field (frequency side) with a grid-shaped "
+                        "multiplier, or a SpacetimeSpectrum")
+    return Field(X.grid, mult * X.values)
 
 
 def box_lattice(grid: Grid, k: int) -> tuple:
@@ -304,6 +285,17 @@ def box_centers(grid: Grid, k: int) -> list:
     axis_vals, _ = box_lattice(grid, k)
     grids = np.meshgrid(*([axis_vals] * grid.n), indexing="ij")
     return [tuple(float(g[idx]) for g in grids) for idx in np.ndindex(grids[0].shape)]
+
+
+def box_multiplier(grid: Grid, k: int, l) -> np.ndarray:
+    """Symbol of P_{k,l}: the outer product of the box_lattice rows of centre l.
+
+    l must be one of box_centers(grid, k); anything else raises ValueError.
+    """
+    axis_vals, table = box_lattice(grid, k)
+    if len(l) != grid.n or not np.all(np.isin(l, axis_vals)):
+        raise ValueError(f"box centre {tuple(l)} is not on the box lattice of k = {k}")
+    return reduce(np.multiply.outer, [table[np.flatnonzero(axis_vals == c)[0]] for c in l])
 
 
 def max_modulation_index(grid: Grid, dt: float, num_frames: int, s: float) -> int:
@@ -376,7 +368,7 @@ def _build_modulation_weights(grid: Grid, num_frames: int, dt: float,
     return ModulationWeights(j_max, shells)
 
 
-def shell_gate(grid: Grid, k: int) -> np.ndarray:
+def _shell_gate(grid: Grid, k: int) -> np.ndarray:
     """Support gate of X_k: 2^{k-1} <= |xi| <= 2^{k+1}, the closed hull of supp phi_k."""
     norm = grid.freq_norm
     return (norm >= 2.0 ** (k - 1)) & (norm <= 2.0 ** (k + 1))
@@ -387,7 +379,7 @@ def y_gate(grid: Grid, k: int, axis: int, sign: float, margin: float) -> np.ndar
     gate, <xi, e> > 0 and <xi, e> >= margin 2^{k-1}, the floor matching the
     lower edge of the shell."""
     dots = sign * grid.freq_component(axis) * np.ones(grid.shape)
-    return shell_gate(grid, k) & (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
+    return _shell_gate(grid, k) & (dots > 0) & (dots >= margin * 2.0 ** (k - 1))
 
 
 class ShellTable(NamedTuple):
@@ -401,7 +393,7 @@ class ShellTable(NamedTuple):
     is that cone's lattice axis.  `amplitude[e]` is phi_k theta_e (theta_e
     unlocalized) and `squares` the squared amplitudes of every branch
     (phi_k^2, then phi_k^2 theta_e^2).  `off_gate` is True off a branch's
-    support gate: row 0 off shell_gate(k), the X gate of every branch, row
+    support gate: row 0 off _shell_gate(k), the X gate of every branch, row
     1 + e off y_gate of cone e.  `lines[a]` packs a localized table's points
     into the lattice lines along axis a that hold any of them: the i-th
     point goes to row lines[a, i] = l m + xi_a of a (num_lines[a] m)-row
@@ -425,9 +417,7 @@ def shell_table(grid: Grid, k: int, atlas: ConeAtlas | None, localized: bool) ->
     assembled per call: its amplitudes are the cached atlas multipliers and
     only its gate rows, the one part that depends on k, are cached.
     """
-    atlas_key = None if atlas is None else (
-        atlas.directions.shape, atlas.directions.tobytes(), atlas.plateau_cos,
-        atlas.support_cos, atlas.margin)
+    atlas_key = None if atlas is None else atlas.key
     if localized:
         key = ("shell_table", grid, int(k), atlas_key)
         return cached_symbol(key, lambda: _build_shell_table(grid, k, atlas))
@@ -439,9 +429,7 @@ def shell_table(grid: Grid, k: int, atlas: ConeAtlas | None, localized: bool) ->
 
 
 def _atlas_axes(atlas: ConeAtlas | None) -> tuple:
-    if atlas is None:
-        return ()
-    return tuple(int(np.argmax(np.abs(e))) for e in atlas.directions)
+    return () if atlas is None else tuple(axis for axis, _ in atlas.signed_axes)
 
 
 def _thetas(grid: Grid, atlas: ConeAtlas | None) -> np.ndarray:
@@ -452,11 +440,10 @@ def _thetas(grid: Grid, atlas: ConeAtlas | None) -> np.ndarray:
 
 
 def _gates(grid: Grid, k: int, atlas: ConeAtlas | None) -> np.ndarray:
-    """shell_gate(k), then y_gate of every atlas cone, shape (1 + K, m^n)."""
-    gates = [shell_gate(grid, k)]
+    """_shell_gate(k), then y_gate of every atlas cone, shape (1 + K, m^n)."""
+    gates = [_shell_gate(grid, k)]
     if atlas is not None:
-        for axis, e in zip(_atlas_axes(atlas), atlas.directions):
-            gates.append(y_gate(grid, k, axis, float(np.sign(e[axis])), atlas.margin))
+        gates += [y_gate(grid, k, axis, sign, atlas.margin) for axis, sign in atlas.signed_axes]
     return np.stack(gates).reshape(len(gates), -1)
 
 
@@ -496,10 +483,9 @@ def modulation_split(u: Trajectory, s: float, j_max: int | None = None,
     total = np.zeros_like(S.values)
     pieces = []
     for j in range(j_max + 1):
-        mult = modulation_shell(r, j)
-        piece = mult * S.values
-        total += piece
-        pieces.append((j, spacetime_idft(SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, piece))))
+        piece = project(S, modulation_shell(r, j))
+        total += piece.values
+        pieces.append((j, spacetime_idft(piece)))
     rem_vals = S.values - total
     remainder = spacetime_idft(SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, rem_vals))
     energy = np.sum(np.abs(S.values) ** 2)

@@ -33,6 +33,9 @@ guards each rhs (a triple whose rhs is not finite and positive gives no
 ratio), collects the ratios per item in yield order and takes each draw's
 worst; a draw with no ratio is skipped and counted.
 
+Every direction e (mixed norm, Y_k^e, atlas cone) is read by lp.signed_axis,
+so Z_k, F^sigma and N^sigma raise on an atlas with a cap off the axes.
+
 Caveat recorded in every report: the estimates are checked as inequality
 shapes at the family's n; the theorems they come from assume n >= 4.
 """
@@ -53,7 +56,9 @@ from .lp import (
     max_modulation_index,
     modulation_shell,
     modulation_weights,
+    project,
     shell_table,
+    signed_axis,
     y_gate,
 )
 from .reports import NormReport, RatioReport
@@ -102,9 +107,9 @@ SUPPORT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MixedNormSpec:
-    """Mixed L^p along one lattice axis, L^q over the remaining axes and time."""
+    """Mixed L^p along the lattice axis e_axis (lp.signed_axis), L^q over the rest and time."""
 
-    e_axis: int
+    e_axis: int | np.ndarray
     p: float
     q: float
 
@@ -114,22 +119,6 @@ class MixedNormSpec:
                 raise ValueError("p and q must be 1, 2 or inf")
 
 
-def _axis_from_direction(e, n: int) -> int:
-    """Snap a direction to a signed lattice axis; reject anything else."""
-    if isinstance(e, (int, np.integer)):
-        if not 0 <= e < n:
-            raise ValueError("axis index out of range")
-        return int(e)
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    axis = int(np.argmax(np.abs(e)))
-    snapped = np.zeros(n)
-    snapped[axis] = np.sign(e[axis])
-    if np.linalg.norm(e - snapped) > 1e-9:
-        raise ValueError("direction is not a lattice axis; rotated evaluation not enabled")
-    return axis
-
-
 def mixed_norm(u: Trajectory, spec: MixedNormSpec) -> float:
     """Discrete mixed norm: inner l^q over (e-perp, t), outer l^p along e.
 
@@ -137,7 +126,7 @@ def mixed_norm(u: Trajectory, spec: MixedNormSpec) -> float:
     p or q = inf is the unweighted maximum.
     """
     g = u.grid
-    axis = _axis_from_direction(spec.e_axis, g.n)
+    axis, _ = signed_axis(spec.e_axis, g.n)
     vals = np.abs(np.moveaxis(u.values, 1 + axis, 0))
     inner_axes = tuple(range(1, vals.ndim))
     inner_weight = g.dx ** (g.n - 1) * u.dt
@@ -339,16 +328,11 @@ def _xk_from_spectrum(S: SpacetimeSpectrum, k: int, s: float) -> float:
 def _yk_from_spectrum(S: SpacetimeSpectrum, k: int, e, s: float, margin: float = 0.5):
     """Y_k^e = 2^{-k(2s-1)/2} || (i d_t + D^{2s} + i) f ||_{L^1_e L^2}, or inf.
 
-    The cone support gate uses the floor margin * 2^{k-1}, matching the lower
-    edge of the dyadic shell supp Delta_k.
+    e is read by lp.signed_axis.  The cone support gate uses the floor
+    margin * 2^{k-1}, matching the lower edge of the dyadic shell supp Delta_k.
     """
     g = S.grid
-    if isinstance(e, (int, np.integer)):
-        axis, sign = int(e), 1.0
-    else:
-        e_arr = np.asarray(e, dtype=float)
-        axis = _axis_from_direction(e_arr, g.n)
-        sign = float(np.sign(e_arr[axis]))
+    axis, sign = signed_axis(e, g.n)
     power_xi = _power(S.values).sum(axis=0)
     mass = float(np.sum(power_xi))
     if mass == 0.0:
@@ -565,9 +549,7 @@ def _kind_embedding(family, s, atlas, seed, index, sigma):
     r = modulation_offset(S, s)
     j_top = max_modulation_index(family.grid, family.dt, family.num_frames, s)
     for j in range(min(j_top, 8) + 1):
-        mult = modulation_shell(r, j)
-        Sj = SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, mult * S.values)
-        lhs = _xk_from_spectrum(Sj, k, s)
+        lhs = _xk_from_spectrum(project(S, modulation_shell(r, j)), k, s)
         yield "embedding", lhs, min(2.0 ** (k * s) * 2.0 ** (-j / 2.0), 1.0) * y
 
 
@@ -738,8 +720,7 @@ def _kind_multiplier_bound(family, s, atlas, seed, index, sigma):
         mult = bumps.eta_bump(np.sqrt(sq) / width).astype(complex)
     kernel = dft_inverse(Field(g, mult.astype(complex)))
     l1 = float(np.sum(np.abs(kernel.values)) * g.dx**g.n)
-    Sm = SpacetimeSpectrum(S.grid, S.t0, S.dt, S.window, mult[None, ...] * S.values)
-    zk_m, _ = _zk_from_spectrum(Sm, k, s, atlas)
+    zk_m, _ = _zk_from_spectrum(project(S, mult), k, s, atlas)
     yield "multiplier_bound", zk_m, l1 * zk
 
 

@@ -16,6 +16,8 @@ A factor pair u conj(u) is the real |u|^2, whose D^{-beta} takes the real
 transforms.  The solve allocates the step's frame-sized arrays once
 (_StepArrays) and every step writes into them; duhamel_map runs the same
 step on fresh ones.
+A converged and a diverged solve build their SolveResult the same way, and
+the config keys of the setting sections come from CONFIG_FIELDS.
 Smallness of the data is measured in the lattice homogeneous Sobolev norm of
 order (n - 2s)/2 with the zero mode excluded.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, asdict, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -130,25 +132,10 @@ class SolveConfig:
     def sigma(self) -> float:
         return (self.n - 2.0 * self.s) / 2.0
 
-    def times(self) -> np.ndarray:
-        return -self.t_half + self.dt * np.arange(self.num_frames)
-
     def describe(self) -> dict:
         return asdict(self)
 
 
-# The keys a solve config may hold, per section; anything else is a typo.
-CONFIG_KEYS = {
-    "grid": ("n", "m", "box_length"),
-    "time": ("t_half", "frames"),
-    "equation": ("s",),
-    "nonlinearity": ("terms",),
-    "picard": ("max_iterations", "tolerance", "quadrature", "epsilon", "seed",
-               "zero_mode_policy"),
-    "initial_data": ("kind", "seed", "width", "path"),
-    "output": ("directory",),
-}
-TERM_KEYS = ("beta", "pattern", "coeff")
 # (section, key, SolveConfig field) of each solve setting, in field order.
 CONFIG_FIELDS = (
     ("grid", "n", "n"), ("grid", "m", "m"), ("grid", "box_length", "box_length"),
@@ -157,6 +144,16 @@ CONFIG_FIELDS = (
     ("picard", "quadrature", "quadrature"), ("picard", "epsilon", "epsilon"),
     ("picard", "seed", "seed"), ("picard", "zero_mode_policy", "zero_mode_policy"),
 )
+
+
+# The keys a solve config may hold, per section; anything else is a typo.  A
+# setting section holds the keys CONFIG_FIELDS gives it, in field order.
+CONFIG_KEYS = {name: tuple(key for section, key, _ in CONFIG_FIELDS if section == name)
+               for name in ("grid", "time", "equation", "nonlinearity", "picard",
+                            "initial_data", "output")}
+CONFIG_KEYS.update(nonlinearity=("terms",), initial_data=("kind", "seed", "width", "path"),
+                   output=("directory",))
+TERM_KEYS = ("beta", "pattern", "coeff")
 
 
 def _section(section, name: str, allowed: tuple | None = None) -> dict:
@@ -366,19 +363,8 @@ class SolveResult:
     trace: list = field(default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "diff_linf_l2": self.diff_linf_l2,
-            "diff_fsigma": self.diff_fsigma,
-            "contraction_ratios": self.contraction_ratios,
-            "duhamel_residual": self.duhamel_residual,
-            "apriori_ratio": self.apriori_ratio,
-            "data_hdot": self.data_hdot,
-            "smallness_ok": self.smallness_ok,
-            "config": self.config,
-            "trace": self.trace,
-        }
+        """Every field but the trajectory, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trajectory"}
 
 
 def _inner_window_mask(times: np.ndarray) -> np.ndarray:
@@ -439,14 +425,16 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
     converged = False
     iterations = 0
 
-    def diverged(message: str, it: int) -> PicardDivergenceError:
-        partial = SolveResult(
-            trajectory=current, converged=False, iterations=it,
+    def result(it: int, residual: float, apriori: float) -> SolveResult:
+        return SolveResult(
+            trajectory=current, converged=converged, iterations=it,
             diff_linf_l2=diffs, diff_fsigma=fdiffs, contraction_ratios=ratios,
-            duhamel_residual=float("nan"), apriori_ratio=float("nan"),
+            duhamel_residual=residual, apriori_ratio=apriori,
             data_hdot=data_hdot, smallness_ok=smallness_ok,
             config=config.describe(), trace=trace)
-        return PicardDivergenceError(message, result=partial)
+
+    def diverged(message: str, it: int) -> PicardDivergenceError:
+        return PicardDivergenceError(message, result=result(it, float("nan"), float("nan")))
 
     for it in range(1, config.max_iterations + 1):
         # An overflow anywhere in the step leaves inf or nan in the iterate,
@@ -484,12 +472,7 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
 
     residual = _linf_l2_inner(current, step()[0]) / ref
     apriori = _linf_hdot_inner(current, config.sigma) / max(data_hdot, 1e-300)
-    return SolveResult(
-        trajectory=current, converged=converged, iterations=iterations,
-        diff_linf_l2=diffs, diff_fsigma=fdiffs, contraction_ratios=ratios,
-        duhamel_residual=residual, apriori_ratio=apriori,
-        data_hdot=data_hdot, smallness_ok=smallness_ok,
-        config=config.describe(), trace=trace)
+    return result(iterations, residual, apriori)
 
 
 def residual_check(u: Trajectory, u0: Field, spec: NonlinearitySpec,

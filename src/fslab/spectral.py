@@ -752,10 +752,11 @@ class DuhamelOperator:
         return duhamel
 
     def free(self, u0: Field) -> Trajectory:
-        """The free evolution e^{i t D^{2s}} u0 on the frames."""
+        """The free evolution e^{i t D^{2s}} u0 on the frames, in one frame-sized array."""
         g = self.grid
-        spec0 = self.data_spectrum(u0) * g.dx**g.n
-        frames = self.frames(self.phases * spec0[None, ...]) / g.dx**g.n
+        spectrum = self.spectrum(self.data_spectrum(u0) * g.dx**g.n)
+        frames = self.frames(spectrum, out=spectrum)
+        frames /= g.dx**g.n
         return Trajectory(g, self.t0, self.dt, frames)
 
     def integral_spectrum(self, forcing: np.ndarray, out: np.ndarray | None = None,

@@ -139,6 +139,17 @@ def test_norms_subcommand_pipeline(tmp_path):
     assert np.isfinite(doc["value"])
 
 
+@pytest.mark.parametrize("kind", ["yk", "mixed"])
+@pytest.mark.parametrize("axis", ["-1", "2"])
+def test_norms_axis_out_of_range_exits_2(tmp_path, capsys, kind, axis):
+    fam = InputFamily(n=2, m=16, num_frames=32, shells=(2,))
+    path = tmp_path / "traj.fslb"
+    write_fslb(path, fam.free(np.random.default_rng(0), 2, 0.75, cone_axis=1).values)
+    rc = main(["norms", "--in", str(path), "--kind", kind, "--k", "2", "--e-axis", axis])
+    assert rc == 2
+    assert f"axis index {axis} out of range for n = 2" in capsys.readouterr().err
+
+
 def test_norms_missing_input(tmp_path):
     assert main(["norms", "--in", str(tmp_path / "ghost.fslb"),
                  "--kind", "xk", "--k", "2"]) == 2

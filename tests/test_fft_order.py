@@ -397,6 +397,25 @@ def test_picard_steps_allocate_no_frame_batch(monkeypatch):
     assert max(peaks[1:]) < frame_bytes
 
 
+def test_free_evolution_allocates_one_frame_batch():
+    """The free evolution forms P * u0_hat in the array it returns and
+    inverts it there: its allocations peak near one frame batch."""
+    grid = make_grid(2, 32, 2.0 * np.pi)
+    op = DuhamelOperator(grid, -2.0, 0.0625, 64, 0.75)
+    u0 = Field(grid, _values(grid, np.random.default_rng(5), 0))
+    frame_bytes = op.phases.nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traj = op.free(u0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert frame_bytes <= peak < 1.5 * frame_bytes
+    assert np.array_equal(traj.values, oracle_free_evolution(u0, -2.0, 0.0625, 64, 0.75))
+
+
 PHASE_GRIDS = [make_grid(1, 32, 2.0 * np.pi), make_grid(2, 16, 2.0 * np.pi),
                make_grid(3, 8, 5.0), make_grid(4, 8, 2.0 * np.pi)]
 # the three omega forms of the callers: the dispersion, a modulated shell

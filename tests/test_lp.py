@@ -5,20 +5,24 @@ import pytest
 
 from fslab.bumps import chi_box, eta_bump, phi_shell, smooth_step
 from fslab.lp import (
-    ProjectionSpec,
     box_centers,
+    box_multiplier,
     build_cone_atlas,
     cone_cutoff_values,
+    dyadic_shell,
+    modulation_shell,
     modulation_split,
     project,
 )
 from fslab.spectral import (
     Field,
+    SpacetimeSpectrum,
     Trajectory,
     dft_forward,
     free_evolution,
     linear_propagate,
     make_grid,
+    modulation_offset,
     spacetime_dft,
 )
 
@@ -148,17 +152,27 @@ class TestConeAtlas:
         assert vals[tuple([grid2d.m // 2] * 2)] == 0.0  # zero mode annihilated
 
 
+def oracle_box_multiplier(grid, k, l):
+    """The P_{k,l} symbol as the projection dispatch first built it: the
+    per-axis chi product, evaluated on the whole grid."""
+    scale = 2.0**k
+    mult = np.ones(grid.shape)
+    for axis in range(grid.n):
+        mult = mult * chi_box((grid.freq_component(axis) - l[axis]) / scale)
+    return mult
+
+
 class TestProject:
     def test_dyadic_plateau_passthrough(self, grid2d):
         # |xi0| = 3 = 1.5 * 2^1: phi(1.5) = 1 so Delta_1 leaves it unchanged
         pw = dft_forward(plane_wave(grid2d, (3, 0)))
-        out = project(pw, ProjectionSpec(kind="dyadic", k=1))
+        out = project(pw, dyadic_shell(grid2d, 1))
         assert np.abs(out.values - pw.values).max() < 1e-12 * np.abs(pw.values).max()
 
     def test_dyadic_outside_support(self, grid2d):
         # |xi0| = 5 with k = -1: ratio 10 is far outside supp phi
         pw = dft_forward(plane_wave(grid2d, (5, 0)))
-        out = project(pw, ProjectionSpec(kind="dyadic", k=-1))
+        out = project(pw, dyadic_shell(grid2d, -1))
         assert np.abs(out.values).max() == 0.0
 
     def test_box_partition(self, grid2d, rng):
@@ -166,46 +180,60 @@ class TestProject:
         for k in (0, 1):
             total = np.zeros(grid2d.shape, complex)
             for l in box_centers(grid2d, k):
-                total += project(F, ProjectionSpec(kind="box", k=k, l=l)).values
+                total += project(F, box_multiplier(grid2d, k, l)).values
             assert np.abs(total - F.values).max() < 1e-10 * np.abs(F.values).max()
+
+    @pytest.mark.parametrize("n, m", [(1, 16), (2, 16), (3, 8)])
+    def test_box_multiplier_matches_chi_product_oracle(self, n, m):
+        grid = make_grid(n, m, 2.0 * np.pi)
+        for k in (0, 1):
+            for l in box_centers(grid, k):
+                assert np.array_equal(box_multiplier(grid, k, l),
+                                      oracle_box_multiplier(grid, k, l))
+
+    def test_box_multiplier_rejects_off_lattice_centres(self, grid2d):
+        for k, l in ((1, (1.0, 0.0)), (0, (0.5, 0.0)), (0, (2.0,)), (0, (0.0, 99.0))):
+            with pytest.raises(ValueError, match="box lattice"):
+                box_multiplier(grid2d, k, l)
 
     def test_disjoint_shells_compose_to_zero(self, grid2d, rng):
         F = dft_forward(random_field(grid2d, rng))
-        once = project(F, ProjectionSpec(kind="dyadic", k=0))
-        twice = project(once, ProjectionSpec(kind="dyadic", k=2))
+        once = project(F, dyadic_shell(grid2d, 0))
+        twice = project(once, dyadic_shell(grid2d, 2))
         assert np.abs(twice.values).max() < 1e-12 * np.abs(F.values).max()
 
     def test_modulation_needs_spectrum(self, grid2d, rng):
         F = dft_forward(random_field(grid2d, rng))
+        S = SpacetimeSpectrum(grid2d, -1.0, 0.125, "none", np.zeros((16,) + grid2d.shape, complex))
         with pytest.raises(TypeError):
-            project(F, ProjectionSpec(kind="modulation", j=1, s=0.75))
+            project(F, modulation_shell(modulation_offset(S, 0.75), 1))
 
     def test_linear_and_commutes_with_propagator(self, grid2d, rng):
         from fslab.spectral import dft_inverse
         f = random_field(grid2d, rng)
         s, t = 0.75, 0.4
-        for spec in (ProjectionSpec(kind="dyadic", k=1),
-                     ProjectionSpec(kind="box", k=1, l=(2.0, 0.0)),
-                     ProjectionSpec(kind="cone", e=(1.0, 0.0), margin=0.5)):
-            a = project(dft_forward(linear_propagate(f, t, s)), spec)
-            projected = dft_inverse(project(dft_forward(f), spec))
+        for mult in (dyadic_shell(grid2d, 1),
+                     box_multiplier(grid2d, 1, (2.0, 0.0)),
+                     cone_cutoff_values(grid2d, (1.0, 0.0), 0.5)):
+            a = project(dft_forward(linear_propagate(f, t, s)), mult)
+            projected = dft_inverse(project(dft_forward(f), mult))
             b = dft_forward(linear_propagate(projected, t, s))
             assert np.abs(a.values - b.values).max() < 1e-11 * max(np.abs(a.values).max(), 1e-12)
 
     def test_rotation_covariance_dyadic_but_not_box(self, grid2d, rng):
         # shell-limited data avoids the asymmetric Nyquist row
         f = random_field(grid2d, rng)
-        Fs = project(dft_forward(f), ProjectionSpec(kind="dyadic", k=1))
+        Fs = project(dft_forward(f), dyadic_shell(grid2d, 1))
         rotate = lambda arr: np.transpose(arr)[:, :]  # axis swap is lattice-preserving
 
-        spec_d = ProjectionSpec(kind="dyadic", k=1)
-        a = project(Field(grid2d, rotate(Fs.values)), spec_d).values
-        b = rotate(project(Fs, spec_d).values)
+        mult_d = dyadic_shell(grid2d, 1)
+        a = project(Field(grid2d, rotate(Fs.values)), mult_d).values
+        b = rotate(project(Fs, mult_d).values)
         assert np.abs(a - b).max() < 1e-12 * np.abs(Fs.values).max()
 
-        spec_b = ProjectionSpec(kind="box", k=0, l=(2.0, 0.0))
-        a = project(Field(grid2d, rotate(Fs.values)), spec_b).values
-        b = rotate(project(Fs, spec_b).values)
+        mult_b = box_multiplier(grid2d, 0, (2.0, 0.0))
+        a = project(Field(grid2d, rotate(Fs.values)), mult_b).values
+        b = rotate(project(Fs, mult_b).values)
         assert np.abs(a - b).max() > 1e-3 * np.abs(Fs.values).max()
 
 

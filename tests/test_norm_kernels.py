@@ -22,12 +22,12 @@ from fslab.lp import (
     modulation_shell,
     modulation_weights,
     shell_table,
+    signed_axis,
 )
 from fslab.norms import (
     SUPPORT_TOL,
     InputFamily,
     MixedNormSpec,
-    _axis_from_direction,
     _box_l2_linf_sum,
     _box_tiles,
     _kind_maximal,
@@ -117,7 +117,7 @@ def oracle_yk(S, k, e, s, margin=0.5):
         axis, sign = int(e), 1.0
     else:
         e_arr = np.asarray(e, dtype=float)
-        axis = _axis_from_direction(e_arr, g.n)
+        axis, _ = signed_axis(e_arr, g.n)
         sign = float(np.sign(e_arr[axis]))
     if float(np.sum(np.abs(S.values) ** 2)) == 0.0:
         return 0.0
@@ -563,6 +563,44 @@ def test_cone_table_is_keyed_by_value():
     other = axis_cone_atlas(2, margin=0.3)
     for i in range(other.num_directions):
         assert np.array_equal(other.multiplier(grid, i), oracle_multiplier(other, grid, i))
+
+
+def _holds_bytes(key) -> bool:
+    return isinstance(key, bytes) or (isinstance(key, tuple) and any(map(_holds_bytes, key)))
+
+
+def test_cache_keys_are_readable_and_hit_by_equal_atlases(monkeypatch):
+    """Every key is plain numbers and strings; an atlas built afresh with the
+    same values finds every table its twin left."""
+    monkeypatch.setattr(spectral, "_SYMBOLS",
+                        spectral._SymbolCache(max_bytes=spectral._SYMBOLS.max_bytes))
+    diff, cfg = _picard_difference(2, 16, 32)
+
+    def run(atlas):
+        return (zk_upper(diff, 2, cfg.s, atlas=atlas).value,
+                f_sigma_norm(diff, cfg.sigma, cfg.s, atlas=atlas))
+
+    first = run(axis_cone_atlas(2))
+    keys = symbol_cache_info()["entries"]
+    assert any(key[0] == "cone_atlas" for key in keys)
+    assert not any(_holds_bytes(key) for key in keys)
+    before = symbol_cache_info()
+    atlas = axis_cone_atlas(2)
+    assert atlas.key == (2, atlas.margin, atlas.plateau_cos, atlas.support_cos,
+                         ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
+    assert atlas.signed_axes == ((0, 1.0), (1, 1.0), (0, -1.0), (1, -1.0))
+    assert run(atlas) == first
+    after = symbol_cache_info()
+    assert after["misses"] == before["misses"] and after["entries"] == before["entries"]
+
+
+def test_no_raw_bytes_keys_in_the_kernel_modules():
+    """Cache identities are built from values, not from raw array bytes."""
+    from pathlib import Path
+
+    src = Path(spectral.__file__).parent
+    for name in ("lp.py", "norms.py"):
+        assert ".tobytes(" not in (src / name).read_text(), name
 
 
 def test_cached_tables_have_no_cross_talk():

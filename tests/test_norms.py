@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fslab import bumps
-from fslab.lp import cone_cutoff_values
+from fslab.lp import build_cone_atlas, cone_cutoff_values, signed_axis
 from fslab.norms import (
     InputFamily,
     MixedNormSpec,
@@ -143,8 +143,42 @@ class TestYk:
             MixedNormSpec(0, 1, 2))
         assert plateau <= y <= 1.6 * plateau
 
+    def test_direction_is_one_signed_axis_rule(self):
+        """An axis index out of range raises instead of transforming another
+        array axis; the index and its unit vector give the same value."""
+        fam = InputFamily(n=2, m=16, num_frames=32, shells=(2,))
+        traj = fam.free(np.random.default_rng(4), 2, 0.75, cone_axis=1)
+        for e in (-1, 2, np.int64(2)):
+            with pytest.raises(ValueError, match=f"axis index {e} out of range for n = 2"):
+                yk_norm(traj, 2, e, 0.75)
+            with pytest.raises(ValueError, match="out of range for n = 2"):
+                mixed_norm(traj, MixedNormSpec(e, 1, 2))
+        by_index = yk_norm(traj, 2, 1, 0.75)
+        assert np.isfinite(by_index) and by_index > 0.0
+        assert yk_norm(traj, 2, (0, 1), 0.75) == by_index
+        assert yk_norm(traj, 2, np.array([0.0, 2.5]), 0.75) == by_index
+        assert signed_axis(np.array([0.0, -3.0, 0.0]), 3) == (1, -1.0)
+        for e in ((1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="not a signed lattice axis"):
+                signed_axis(e, 2)
+
 
 class TestZk:
+    def test_non_axis_atlas_raises_naming_the_direction(self, family):
+        """A built atlas is a valid partition, but its caps off the axes admit
+        no Y_k^e; the kernels refuse it instead of snapping it to an axis."""
+        atlas = build_cone_atlas(2, 0.5)
+        grid = family.grid
+        assert np.allclose(atlas.multipliers(grid).sum(axis=0)[grid.freq_norm > 0], 1.0)
+        traj, k, _ = family.draw(0, 0.75, seed=3)
+        direction = r"direction \(0\.309\d*, 0\.951\d*\) is not a signed lattice axis"
+        with pytest.raises(ValueError, match=direction):
+            zk_upper(traj, k, 0.75, atlas=atlas)
+        with pytest.raises(ValueError, match=direction):
+            f_sigma_norm(traj, 0.25, 0.75, atlas=atlas)
+        with pytest.raises(ValueError, match=direction):
+            n_sigma_norm(traj, 0.25, 0.75, atlas=atlas)
+
     def test_zero(self, family):
         traj = Trajectory(family.grid, family.t0, family.dt,
                           np.zeros((family.num_frames,) + family.grid.shape, complex))
