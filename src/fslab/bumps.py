@@ -67,9 +67,6 @@ class PlateauBump:
         w = self.support - self.plateau
         return smooth_step((self.support - r) / w)
 
-    def params(self) -> dict:
-        return {"plateau": self.plateau, "support": self.support}
-
 
 # Littlewood-Paley bump: 1 on [-1.5, 1.5] (hence on [-1, 1]), supported
 # strictly inside (-2, 2).  The wide plateau makes phi == 1 at r = 1.5.

@@ -18,10 +18,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from . import bumps
 from .spectral import (
@@ -35,6 +34,9 @@ from .spectral import (
     spacetime_dft,
     spacetime_idft,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "ConeAtlas",
@@ -77,13 +79,14 @@ def _sphere_candidates(n: int, count: int, seed: int) -> np.ndarray:
     return np.concatenate([axes, pts], axis=0)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConeAtlas:
     """Finite direction set on S^{n-1} with a smooth partition of unity.
 
     Each theta_e is supported in the cap {<omega, e> >= margin}; the bumps
     plateau inside the covering radius, so the normalizing denominator is
-    bounded away from zero everywhere on the sphere.
+    bounded away from zero everywhere on the sphere.  Atlases compare by
+    identity; `key` holds the values that the symbol cache compares.
     """
 
     n: int
@@ -144,17 +147,6 @@ class ConeAtlas:
     def multiplier(self, grid: Grid, index: int) -> np.ndarray:
         """theta_e(xi/|xi|) on the frequency lattice for one direction (read-only)."""
         return self.multipliers(grid)[index]
-
-    def export_document(self) -> dict:
-        return {
-            "n": self.n,
-            "margin": self.margin,
-            "num_directions": self.num_directions,
-            "directions": self.directions.tolist(),
-            "plateau_cos": self.plateau_cos,
-            "support_cos": self.support_cos,
-            "bumps": {"eta": bumps._ETA.params(), "chi": bumps._CHI.params()},
-        }
 
 
 def build_cone_atlas(n: int, margin: float) -> ConeAtlas:
@@ -360,6 +352,9 @@ def _build_modulation_weights(grid: Grid, num_frames: int, dt: float,
         rows.append((j * npoints + hit % npoints).astype(index))
         cols.append(hit.astype(index))
         weights.append(mult[nonzero] ** 2)
+    # scipy.sparse loads here, on the first table, so `import fslab` does not load scipy
+    import scipy.sparse
+
     shells = scipy.sparse.csr_array(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=((j_max + 1) * npoints, r.size))

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import yaml
 
 from .norms import f_sigma_norm
 from .spectral import (
@@ -175,11 +174,15 @@ def load_config(path) -> tuple:
     """Read the YAML key-value tree; returns (SolveConfig, NonlinearitySpec, extras).
 
     Malformed YAML, and unknown sections or keys, raise ValueError; the
-    message names the section and the key.
+    message names the section and the key.  The YAML is parsed by libyaml
+    (yaml.CSafeLoader) when PyYAML has it, else by yaml.SafeLoader.
     """
+    import yaml
+
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as exc:
             raise ValueError(f"config is not valid YAML: {exc}") from exc
     doc = _section(raw, "top level", tuple(CONFIG_KEYS))

@@ -59,8 +59,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .bumps import time_cutoff, window_weights
 
@@ -95,6 +93,8 @@ __all__ = [
     "hdot_norm",
     "hdot_norms",
     "DuhamelOperator",
+    "cumulative_trapezoid",
+    "cumulative_simpson",
     "duhamel_quadrature",
     "duhamel_integral",
 ]
@@ -110,11 +110,12 @@ def _is_power_of_two(m: int) -> bool:
 
 def _member_arrays(value):
     """The ndarrays a cached value holds: itself, its tuple members, and the
-    data/index arrays of sparse members."""
+    data/indices/indptr arrays of compressed sparse (CSR) members."""
     for member in (value if isinstance(value, tuple) else (value,)):
         if isinstance(member, np.ndarray):
             yield member
-        elif scipy.sparse.issparse(member):
+        elif all(isinstance(getattr(member, name, None), np.ndarray)
+                 for name in ("data", "indices", "indptr")):
             yield from (member.data, member.indices, member.indptr)
 
 
@@ -655,6 +656,48 @@ def hdot_norm(f: Field, sigma: float) -> float:
     return float(hdot_norms(f.values, f.grid, sigma))
 
 
+def _running_sums(intervals: np.ndarray) -> np.ndarray:
+    """The interval integrals summed in sequence along axis 0, behind a zero."""
+    out = np.zeros((intervals.shape[0] + 1,) + intervals.shape[1:], intervals.dtype)
+    np.cumsum(intervals, axis=0, out=out[1:])
+    return out
+
+
+def cumulative_trapezoid(y: np.ndarray, *, dx: float) -> np.ndarray:
+    """scipy.integrate.cumulative_trapezoid(y, dx=dx, axis=0, initial=0), bit for bit.
+
+    The same arithmetic in the same order: the interval integrals
+    dx * (y[i + 1] + y[i]) / 2.0, summed in sequence behind a zero.
+    """
+    return _running_sums(dx * (y[1:] + y[:-1]) / 2.0)
+
+
+def cumulative_simpson(y: np.ndarray, *, dx: float) -> np.ndarray:
+    """scipy.integrate.cumulative_simpson(y, dx=dx, axis=0, initial=0), bit for bit.
+
+    Each interval integral comes from the parabola through three neighbouring
+    samples, d / 3 * (5 f1 / 4 + 2 f2 - f3 / 4).  As in scipy, the even
+    intervals take the parabola ahead of them, the odd ones and the last one
+    the parabola behind (the same formula on the reversed samples), and the
+    integrals are summed in sequence behind a zero.  Below 3 samples it is
+    the trapezoid rule.
+    """
+    if y.shape[0] < 3:
+        sums = cumulative_trapezoid(y, dx=dx)
+    else:
+        def ahead(f):
+            return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+        forward, backward = ahead(y), ahead(y[::-1])[::-1]
+        intervals = np.empty((y.shape[0] - 1,) + y.shape[1:], forward.dtype)
+        intervals[:-1:2] = forward[::2]
+        intervals[1::2] = backward[::2]
+        intervals[-1] = backward[-1]
+        sums = _running_sums(intervals)
+    # scipy adds `initial` to the sums, which turns a -0.0 into 0.0
+    return sums + 0.0
+
+
 def _check_rule(rule: str) -> None:
     if rule not in ("trapezoid", "simpson"):
         raise ValueError("quadrature rule must be 'trapezoid' or 'simpson'")
@@ -664,9 +707,10 @@ def duhamel_quadrature(num_frames: int, i0: int, dt: float, rule: str) -> np.nda
     """The signed cumulative rule from frame i0 as a (T, T) matrix (read-only, cached).
 
     Row i holds the weights of int_{t_i0}^{t_i} over the frames (minus
-    int_{t_i}^{t_i0} for i < i0): scipy's cumulative_trapezoid or
-    cumulative_simpson (initial=0) applied to the identity, forward from i0
-    and, reversed, backward from it.  Row i0 is exactly zero.
+    int_{t_i}^{t_i0} for i < i0): cumulative_trapezoid or cumulative_simpson,
+    the arithmetic of scipy's equal-interval rule (initial=0), pinned bit for
+    bit in the tests, applied to the identity, forward from i0 and, reversed,
+    backward from it.  Row i0 is exactly zero.
     """
     _check_rule(rule)
 
@@ -674,9 +718,8 @@ def duhamel_quadrature(num_frames: int, i0: int, dt: float, rule: str) -> np.nda
         accumulate = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
         Q = np.zeros((num_frames, num_frames))
         if i0 > 0:
-            Q[: i0 + 1, : i0 + 1] = -accumulate(np.eye(i0 + 1), dx=dt, axis=0,
-                                                 initial=0)[::-1, ::-1]
-        Q[i0:, i0:] = accumulate(np.eye(num_frames - i0), dx=dt, axis=0, initial=0)
+            Q[: i0 + 1, : i0 + 1] = -accumulate(np.eye(i0 + 1), dx=dt)[::-1, ::-1]
+        Q[i0:, i0:] = accumulate(np.eye(num_frames - i0), dx=dt)
         return Q
     return cached_symbol(("duhamel_quadrature", int(num_frames), int(i0), float(dt), rule),
                          build)
@@ -791,8 +834,9 @@ def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> 
     """Windowed Duhamel term -i psi(t) int_0^t e^{i(t-t')D^{2s}} F(t') dt'.
 
     The integral runs along the frame lattice (signed for t < 0) in the
-    interaction picture, by scipy's cumulative rule in matrix form; see
-    DuhamelOperator.  t = 0 must be a frame time.
+    interaction picture, by the arithmetic of scipy's equal-interval rule
+    (pinned bit for bit in the tests) in matrix form; see DuhamelOperator.
+    t = 0 must be a frame time.
     """
     op = DuhamelOperator(forcing.grid, forcing.t0, forcing.dt, forcing.num_frames, s, rule)
     return op.integral(forcing)

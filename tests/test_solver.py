@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 import fslab.solver
 from fslab.solver import (
@@ -386,7 +387,65 @@ class TestContinuousDependence:
         assert np.isfinite(probe.ratio_hdot)
 
 
+README_CONFIG = """
+grid:      {n: 2, m: 32, box_length: 6.283185307179586}
+time:      {t_half: 2.0, frames: 64}
+equation:  {s: 0.75}
+nonlinearity:
+  terms:
+    - beta: 0.5                      # in [-(2s-1)/2, 2s-1]
+      pattern: [plain, conjugate, plain]
+      coeff: [1.0, 0.0]
+picard:    {max_iterations: 25, tolerance: 1.0e-10, quadrature: simpson,
+            epsilon: 0.01, seed: 0, zero_mode_policy: zero_out}
+initial_data: {kind: gaussian_spectrum, seed: 3}   # or {kind: file, path: u0.fslb}
+output:    {directory: out}
+"""
+
+
 class TestConfigFile:
+    @pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+    def yaml_loader(self, request, monkeypatch):
+        """PyYAML as load_config sees it with libyaml (CSafeLoader) or
+        without it (SafeLoader); yields that loader and the loaders used."""
+        if request.param == "CSafeLoader":
+            if not hasattr(yaml, "CSafeLoader"):
+                pytest.skip("PyYAML built without libyaml")
+        else:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        used = []
+        load = yaml.load
+
+        def spy(stream, Loader):
+            used.append(Loader)
+            return load(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        yield getattr(yaml, request.param), used
+
+    def test_readme_config_loads_with_either_loader(self, tmp_path, yaml_loader):
+        loader, used = yaml_loader
+        path = tmp_path / "cfg.yaml"
+        path.write_text(README_CONFIG)
+        cfg, spec, extras = load_config(path)
+        assert used == [loader]
+        assert cfg == SolveConfig(n=2, m=32, box_length=6.283185307179586, s=0.75, t_half=2.0,
+                                  num_frames=64, max_iterations=25, tolerance=1e-10,
+                                  quadrature="simpson", epsilon=0.01, seed=0,
+                                  zero_mode_policy="zero_out")
+        assert spec == NonlinearitySpec(terms=(NonlinearityTerm(
+            beta=0.5, pattern=("plain", "conjugate", "plain"), coeff=1.0 + 0.0j),))
+        assert extras == {"output": {"directory": "out"},
+                          "initial_data": {"kind": "gaussian_spectrum", "seed": 3}}
+
+    def test_malformed_yaml_raises_with_either_loader(self, tmp_path, yaml_loader):
+        loader, used = yaml_loader
+        path = tmp_path / "broken.yaml"
+        path.write_text("grid: {n: 2, m: 16\n")
+        with pytest.raises(ValueError, match="^config is not valid YAML: "):
+            load_config(path)
+        assert used == [loader]
+
     def test_yaml_roundtrip(self, tmp_path):
         cfg_text = """
 grid: {n: 2, m: 16, box_length: 6.283185307179586}

@@ -264,6 +264,17 @@ def scipy_signed_cumulative(W, i0, dt, rule):
     return H
 
 
+def scipy_quadrature(num_frames, i0, dt, rule):
+    """duhamel_quadrature built on scipy's rules, as the package first built it."""
+    accumulate = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
+    Q = np.zeros((num_frames, num_frames))
+    if i0 > 0:
+        Q[: i0 + 1, : i0 + 1] = -accumulate(np.eye(i0 + 1), dx=dt, axis=0,
+                                             initial=0)[::-1, ::-1]
+    Q[i0:, i0:] = accumulate(np.eye(num_frames - i0), dx=dt, axis=0, initial=0)
+    return Q
+
+
 class TestDuhamelOperator:
     @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
     @pytest.mark.parametrize("frames", [1, 8, 16, 32])
@@ -278,12 +289,35 @@ class TestDuhamelOperator:
         assert np.max(np.abs(Q @ W - expected)) <= 1e-14 * np.max(np.abs(expected))
         assert not np.any(Q[i0])
 
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    @pytest.mark.parametrize("dt", [0.0625, 2 / 63, 1e-3])
+    @pytest.mark.parametrize("frames", [1, 2, 3, 4, 5, 16, 17, 64, 65, 1024])
+    def test_quadrature_matrix_is_scipys_bit_for_bit(self, rule, frames, dt):
+        ours = getattr(fslab.spectral, f"cumulative_{rule}")
+        scipys = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
+        eye = np.eye(frames)
+        assert np.array_equal(ours(eye, dx=dt), scipys(eye, dx=dt, axis=0, initial=0))
+        for i0 in sorted({0, frames // 2, frames - 1}):
+            assert np.array_equal(duhamel_quadrature(frames, i0, dt, rule),
+                                  scipy_quadrature(frames, i0, dt, rule))
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    @pytest.mark.parametrize("frames", [1, 2, 3, 6, 7])
+    def test_rules_are_scipys_on_data(self, rule, frames):
+        ours = getattr(fslab.spectral, f"cumulative_{rule}")
+        scipys = cumulative_trapezoid if rule == "trapezoid" else cumulative_simpson
+        y = np.random.default_rng(frames).standard_normal((frames, 3, 4))
+        y[:, 0] = -0.0
+        got, want = ours(y, dx=0.1), scipys(y, dx=0.1, axis=0, initial=0)
+        # the same bytes: signs of zeros included
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_quadrature_built_once_per_key(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return cumulative_simpson(*args, **kwargs)
+            return cumulative_simpson(*args, axis=0, initial=0, **kwargs)
 
         monkeypatch.setattr(fslab.spectral, "cumulative_simpson", counted)
         # a step no other test uses, so the first call builds the matrix
