@@ -70,8 +70,12 @@ def _provenance(checkout: str) -> dict:
 
 def _machine() -> dict:
     import numpy
-    import scipy
 
+    try:
+        import scipy
+        scipy_version = scipy.__version__
+    except ImportError:
+        scipy_version = None
     cpu = None
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -81,7 +85,7 @@ def _machine() -> dict:
         pass
     return {"platform": platform.platform(), "cpu_model": cpu, "nproc": os.cpu_count(),
             "python": sys.version.split()[0], "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "threads": {name: "1" for name in THREAD_VARS}}
+            "scipy": scipy_version, "threads": {name: "1" for name in THREAD_VARS}}
 
 
 def main(argv, *, bench: str, description: str, script: str, worker, what: dict) -> int:

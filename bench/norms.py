@@ -8,13 +8,20 @@ diagnostic, at (n, m, T):
 
   (2, 16, 32)    the solve_cli benchmark's size, and the estimates family n = 2
   (3, 8, 32)     the estimates family n = 3
-  (2, 128, 128)  past desk scale (ROADMAP item 1)
-  (3, 32, 64)    past desk scale (ROADMAP item 1)
+  (2, 128, 128)  past desk scale
+  (3, 32, 64)    past desk scale
+  (4, 16, 32)    past desk scale, in the dimension the theorems assume
 
-At the two large sizes each norm is timed once per round after its
-warm-up call, and two more items time one whole picard_solve each, without
-a warm-up: `solve` with the F^sigma diagnostic off and `solve_fsigma` with
-it on (the `fslab solve` default), so the ratio of the two is the
+Two more items at every size time the modulation table the norms reduce
+against: `modulation_build` one uncached lp._build_modulation_weights (the
+worker builds one table on a small grid first, so that no one-time import
+falls into the timing), and `modulation_reduce` one resolved_sums of the
+cached table on |S|^2 of the difference's tapered spectrum.
+
+At the large sizes each norm is timed once per round after its warm-up
+call, and two more items time one whole picard_solve each, without a
+warm-up: `solve` with the F^sigma diagnostic off and `solve_fsigma` with it
+on (the `fslab solve` default), so the ratio of the two is the
 diagnostic's cost.
 
 Usage:
@@ -36,14 +43,16 @@ import time
 import harness
 
 DESK_SIZES = ((2, 16, 32), (3, 8, 32))
-LARGE_SIZES = ((2, 128, 128), (3, 32, 64))
-ITEMS = ("f_sigma", "n_sigma", "solve", "solve_fsigma")
+LARGE_SIZES = ((2, 128, 128), (3, 32, 64), (4, 16, 32))
+ITEMS = ("f_sigma", "n_sigma", "modulation_build", "modulation_reduce", "solve",
+         "solve_fsigma")
 
 
 def _worker(repeats: int) -> dict:
     """Samples in seconds per item and size, for the fslab on sys.path."""
-    from fslab import norms, solver, spectral
+    from fslab import lp, norms, solver, spectral
 
+    lp._build_modulation_weights(spectral.Grid(2, 8, 1.0), 8, 0.25, 0.75)
     out = {}
     for n, m, frames in DESK_SIZES + LARGE_SIZES:
         large = (n, m, frames) in LARGE_SIZES
@@ -58,6 +67,13 @@ def _worker(repeats: int) -> dict:
         for item, norm in (("f_sigma", norms.f_sigma_norm), ("n_sigma", norms.n_sigma_norm)):
             out[f"{item}.{size}"] = harness.time_call(
                 lambda norm=norm: norm(diff, cfg.sigma, cfg.s), 1 if large else repeats)
+        out[f"modulation_build.{size}"] = harness.time_call(
+            lambda: lp._build_modulation_weights(cfg.grid, frames, cfg.dt, cfg.s), repeats)
+        table = lp.modulation_weights(cfg.grid, frames, cfg.dt, cfg.s)
+        values = spectral.spacetime_dft(diff, window="taper").values.reshape(frames, -1)
+        power = values.real**2 + values.imag**2
+        out[f"modulation_reduce.{size}"] = harness.time_call(
+            lambda: table.resolved_sums(power), repeats)
         if large:
             for item, fsigma_diffs in (("solve", False), ("solve_fsigma", True)):
                 start = time.perf_counter()

@@ -10,7 +10,7 @@ checkout's src/), timed from the `import fslab, fslab.cli` statement:
   import_solve_fsigma  the import plus a first solve at the solve_cli
                        benchmark's size (m = 16, 32 frames, epsilon 1e-2)
                        with the per-iteration F^sigma diagnostic on, which
-                       builds the sparse modulation table
+                       builds the modulation table
   process              wall time of a whole `python -c "import fslab,
                        fslab.cli"`, interpreter start and exit included
 

@@ -10,7 +10,8 @@ and is identified in the symbol cache by its values (key).
 
 The grid-only symbols (dyadic shells, the cone partition table, the
 modulation-weight table and the per-shell weight tables of the X_k / Y_k^e
-kernels) come from the one symbol cache in spectral.py.
+kernels) come from the one symbol cache in spectral.py, the modulation
+table per |xi| class.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +29,13 @@ from .spectral import (
     Grid,
     SpacetimeSpectrum,
     Trajectory,
+    _tau_lattice,
     cached_symbol,
+    fractional_multiplier,
     modulation_offset,
-    offset_lattice,
     spacetime_dft,
     spacetime_idft,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "ConeAtlas",
@@ -302,24 +301,49 @@ def max_modulation_index(grid: Grid, dt: float, num_frames: int, s: float) -> in
 
 
 class ModulationWeights(NamedTuple):
-    """Squared Q_j symbols on one (tau, xi) lattice, resolved in xi, for X_k-type reductions.
+    """Squared Q_j symbols on one (tau, xi) lattice, per |xi| class, for X_k-type reductions.
 
-    `shells` is the sparse ((j_max + 1) m^n) x (T m^n) matrix whose row
-    j m^n + xi holds Q_j(r)^2 at the columns tau m^n + xi, so that one
-    product with |f^|^2 gives sum_tau |Q_j f^|^2 at every (j, xi).  phi(r / 2^j)
-    is nonzero only for 0.75 * 2^j < |r| < 1.9 * 2^j and eta(r) only for
-    |r| < 1.9, so each offset r meets at most two consecutive shells: the
-    matrix holds at most two entries per column, O(T m^n) however large
-    j_max is.  The Q_j telescope to exactly 1 on the whole lattice, so no
+    Q_j reads xi only through r = tau + |xi|^{2s}.  `classes` maps each
+    lattice point (centred order, flattened) to its class of equal
+    |xi|^{2s}; at the offset r of each (tau, class), `lower` is the lowest
+    shell j that r meets and `squares[tau, :, class]` holds Q_j(r)^2 and
+    Q_{j+1}(r)^2.  phi(r / 2^j) is nonzero only for 0.75 * 2^j < |r| <
+    1.9 * 2^j and eta(r) only for |r| < 1.9, so each offset meets at most two
+    consecutive shells; a missed shell weighs 0, and `lower` stops at
+    j_max - 1.  The Q_j telescope to exactly 1 on the whole lattice, so no
     remainder is left over.
     """
 
     j_max: int
-    shells: scipy.sparse.csr_array
+    classes: np.ndarray
+    lower: np.ndarray
+    squares: np.ndarray
 
     def resolved_sums(self, power: np.ndarray) -> np.ndarray:
-        """sum_tau |Q_j f^|^2 at every (j, xi), shape (j_max + 1, m^n), from power = |f^|^2."""
-        return (self.shells @ power.ravel()).reshape(self.j_max + 1, -1)
+        """sum_tau |Q_j f^|^2 at every (j, xi), shape (j_max + 1, m^n), from power = |f^|^2.
+
+        The (tau, shell pair, xi) terms are added into their (j, xi) bins one
+        block of frames at a time, in tau-major order, so that each bin adds
+        its terms in ascending tau."""
+        npoints = self.classes.size
+        sums = np.zeros((self.j_max + 1) * npoints)
+        power = power.reshape(len(self.lower), 1, npoints)
+        step = max(1, _BLOCK_TERMS // (2 * npoints))
+        for start in range(0, len(self.lower), step):
+            frames = slice(start, start + step)
+            bins = np.take(self.lower[frames, None, :] + _SHELL_PAIR, self.classes, axis=2)
+            bins *= npoints
+            bins += np.arange(npoints)
+            terms = np.take(self.squares[frames], self.classes, axis=2)
+            terms *= power[frames]
+            np.add.at(sums, bins.ravel(), terms.ravel())
+        return sums.reshape(self.j_max + 1, npoints)
+
+
+_SHELL_PAIR = np.arange(2)[:, None]
+# terms per block of frames (at least one frame per block): the temporaries
+# of a call are two block-sized arrays, not two of 2 T m^n entries
+_BLOCK_TERMS = 2**14
 
 
 def modulation_weights(grid: Grid, num_frames: int, dt: float, s: float) -> ModulationWeights:
@@ -330,13 +354,15 @@ def modulation_weights(grid: Grid, num_frames: int, dt: float, s: float) -> Modu
 
 def _build_modulation_weights(grid: Grid, num_frames: int, dt: float,
                               s: float) -> ModulationWeights:
-    r = offset_lattice(grid, num_frames, dt, s).ravel()
+    values, classes = np.unique(fractional_multiplier(grid, 2.0 * s), return_inverse=True)
+    # the offsets of offset_lattice, once per (tau, class)
+    r = _tau_lattice(num_frames, dt)[:, None] + values[None, :]
     size = np.abs(r)
     j_max = max_modulation_index(grid, dt, num_frames, s)
-    npoints = grid.npoints
-    # int32 indices where they fit: half the index memory of the default int64
-    index = np.int32 if 2 * r.size < 2**31 else np.int64
-    rows, cols, weights = [], [], []
+    # lower starts at j_max - 1, so that an offset that meets Q_jmax alone
+    # holds it in the upper slot
+    lower = np.full(r.shape, j_max - 1)
+    squares = np.zeros((num_frames, 2, values.size))
     mult_sum = np.zeros_like(r)
     for j in range(j_max + 1):
         # Q_j vanishes exactly off 2^{j-1} < |r| < 2^{j+1} (j >= 1; |r| < 2 for
@@ -344,23 +370,16 @@ def _build_modulation_weights(grid: Grid, num_frames: int, dt: float,
         band = size < 2.0 ** (j + 1)
         if j > 0:
             band &= size > 2.0 ** (j - 1)
-        candidates = np.flatnonzero(band)
-        mult = modulation_shell(r[candidates], j)
-        mult_sum[candidates] += mult
+        tau, cls = np.nonzero(band)
+        mult = modulation_shell(r[tau, cls], j)
+        mult_sum[tau, cls] += mult
         nonzero = mult != 0.0
-        hit = candidates[nonzero]
-        rows.append((j * npoints + hit % npoints).astype(index))
-        cols.append(hit.astype(index))
-        weights.append(mult[nonzero] ** 2)
-    # scipy.sparse loads here, on the first table, so `import fslab` does not load scipy
-    import scipy.sparse
-
-    shells = scipy.sparse.csr_array(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((j_max + 1) * npoints, r.size))
+        tau, cls = tau[nonzero], cls[nonzero]
+        lower[tau, cls] = np.minimum(lower[tau, cls], j)
+        squares[tau, j - lower[tau, cls], cls] = mult[nonzero] ** 2
     if np.any(mult_sum != 1.0):
         raise ValueError(f"modulation shells Q_0 .. Q_{j_max} do not sum to 1 on the lattice")
-    return ModulationWeights(j_max, shells)
+    return ModulationWeights(j_max, classes.ravel(), lower, squares)
 
 
 def _shell_gate(grid: Grid, k: int) -> np.ndarray:

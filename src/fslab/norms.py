@@ -6,13 +6,14 @@ two-branch upper bound for the infimum norm Z_k, and the dyadically
 weighted solution / forcing norms F^sigma and N^sigma.
 
 The kernels do no repeated symbol work.  One call of F^sigma, N^sigma or
-Z_k forms |S|^2 of its spectrum S once and makes one sparse reduction,
-A[j, xi] = sum_tau Q_j^2 |S|^2, against the cached xi-resolved modulation
-table (lp.modulation_weights).  Every X_k of the call, the all-X branch and
-each cone theta_e of every shell k, is then one dense product of A with the
-shell's table of squared amplitudes (lp.shell_table: phi_k^2 and
-phi_k^2 theta_e^2, on supp phi_k inside F^sigma and N^sigma, on the whole
-lattice for a direct Z_k or X_k), and the same squares against
+Z_k forms |S|^2 of its spectrum S once and makes one reduction,
+A[j, xi] = sum_tau Q_j^2 |S|^2, against the cached modulation table
+(lp.modulation_weights, kept per |xi| class and gathered onto xi).  Every
+X_k of the call, the all-X branch and each cone theta_e of every shell k,
+is then one dense product of A with the shell's table of squared
+amplitudes (lp.shell_table: phi_k^2 and phi_k^2 theta_e^2, on supp phi_k
+inside F^sigma and N^sigma, on the whole lattice for a direct Z_k or X_k),
+and the same squares against
 sum_tau |S|^2, on and off each branch's support gate, give the gates'
 masses.  Y_k^e needs only an inverse FFT along e, by discrete Parseval over
 (x_perp, t) (_lateral_l2_profile, shared with yk_norm and the smoothing
@@ -222,12 +223,12 @@ class _Reductions:
     """What every X_k and Y_k^e of one spectrum S reads, formed once per call.
 
     `power_xi` is sum_tau |S|^2 and `resolved` the modulation reduction
-    sum_tau Q_j^2 |S|^2 at every (j, xi), from one product with the cached
-    modulation table.  `symbolic` is the Schroedinger symbol times S, formed only
-    when a Y_k^e may be needed, and `scratch` the zeroed array the lattice
-    lines of a localized Y_k^e are packed into, made at the first one; both
-    are xi-major, shape (m^n, T), so that a lattice point's frames are one
-    row.
+    sum_tau Q_j^2 |S|^2 at every (j, xi), from one reduction against the
+    cached modulation table.  `symbolic` is the Schroedinger symbol times S,
+    formed only when a Y_k^e may be needed, and `scratch` the zeroed array
+    the lattice lines of a localized Y_k^e are packed into, made at the
+    first one; both are xi-major, shape (m^n, T), so that a lattice point's
+    frames are one row.
     """
 
     def __init__(self, S: SpacetimeSpectrum, s: float, with_symbol: bool):

@@ -109,22 +109,18 @@ def _is_power_of_two(m: int) -> bool:
 
 
 def _member_arrays(value):
-    """The ndarrays a cached value holds: itself, its tuple members, and the
-    data/indices/indptr arrays of compressed sparse (CSR) members."""
+    """The ndarrays a cached value holds: itself, or its array tuple members."""
     for member in (value if isinstance(value, tuple) else (value,)):
         if isinstance(member, np.ndarray):
             yield member
-        elif all(isinstance(getattr(member, name, None), np.ndarray)
-                 for name in ("data", "indices", "indptr")):
-            yield from (member.data, member.indices, member.indptr)
 
 
 class _SymbolCache:
     """Least-recently-used store of read-only arrays under a byte budget.
 
-    A value is an array, a sparse matrix, or a tuple of them (other tuple
-    members are kept as they are).  A value larger than the whole budget is
-    returned uncached.
+    A value is an array or a tuple of arrays (other tuple members are kept
+    as they are).  A value larger than the whole budget is returned
+    uncached.
     """
 
     def __init__(self, max_bytes: int):

@@ -52,6 +52,7 @@ from fslab.spectral import (
     free_evolution,
     fractional_multiplier,
     modulation_offset,
+    offset_lattice,
     spacetime_dft,
     spacetime_idft,
     spatial_spectrum,
@@ -618,13 +619,44 @@ def test_cached_tables_have_no_cross_talk():
             assert_close(y, oracle_yk(S, 2, 0, s))
 
 
-@pytest.mark.parametrize("n, m, T, s", [(2, 16, 32, 0.75), (3, 8, 16, 0.6), (2, 8, 32, 1.0)])
+def oracle_modulation_sums(grid, T, dt, s, power):
+    """sum_tau Q_j^2 power at every (j, xi) through the xi-resolved sparse
+    table the per-class one replaced: row j m^n + xi holds Q_j(r(tau, xi))^2
+    at the columns tau m^n + xi, and the CSR product sums each row in
+    ascending column order."""
+    import scipy.sparse
+
+    r = offset_lattice(grid, T, dt, s).ravel()
+    size = np.abs(r)
+    j_max = max_modulation_index(grid, dt, T, s)
+    npoints = grid.npoints
+    rows, cols, weights = [], [], []
+    for j in range(j_max + 1):
+        band = size < 2.0 ** (j + 1)
+        if j > 0:
+            band &= size > 2.0 ** (j - 1)
+        candidates = np.flatnonzero(band)
+        mult = modulation_shell(r[candidates], j)
+        hit = candidates[mult != 0.0]
+        rows.append(j * npoints + hit % npoints)
+        cols.append(hit)
+        weights.append(mult[mult != 0.0] ** 2)
+    shells = scipy.sparse.csr_array(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=((j_max + 1) * npoints, r.size))
+    return (shells @ power.ravel()).reshape(j_max + 1, npoints)
+
+
+# (4, 8, 16) reduces in several blocks of frames, the others in one
+@pytest.mark.parametrize("n, m, T, s", [(2, 16, 32, 0.75), (3, 8, 16, 0.6), (2, 8, 32, 1.0),
+                                        (4, 8, 16, 0.75)])
 def test_modulation_table_is_two_band_and_exact(n, m, T, s):
-    """The xi-resolved table holds Q_j^2 bit for bit: row j m^n + xi holds
-    Q_j(r(tau, xi))^2 at the columns tau m^n + xi and nothing else, so block
-    j, summed over its rows, is Q_j^2 on the lattice.  Each offset meets at
-    most two consecutive shells (so the table stays O(T m^n)), and the Q_j
-    telescope to exactly 1 at every lattice point, leaving no remainder."""
+    """The per-class table holds Q_j^2 bit for bit: expanded through the
+    class index, slot 0 of (tau, class(xi)) is Q_lower(r(tau, xi))^2, slot 1
+    is Q_{lower+1}^2, and every other Q_j vanishes there.  Each offset meets
+    at most two consecutive shells (so the table stays O(T classes)), the
+    Q_j telescope to exactly 1 at every lattice point, leaving no remainder,
+    and resolved_sums equals the sparse product it replaced bit for bit."""
     grid = Grid(n, m, 2.0 * np.pi)
     dt = 2.0 / T
     table = modulation_weights(grid, T, dt, s)
@@ -632,15 +664,21 @@ def test_modulation_table_is_two_band_and_exact(n, m, T, s):
     r = modulation_offset(S, s)
     assert table.j_max == max_modulation_index(grid, dt, T, s)
     npoints = grid.npoints
-    assert table.shells.shape == ((table.j_max + 1) * npoints, T * npoints)
-    coo = table.shells.tocoo()
-    j_of, xi_of = np.divmod(coo.row, npoints)
-    assert np.array_equal(coo.col % npoints, xi_of)
-    assert np.unique(coo.col + T * npoints * j_of).size == coo.nnz
-    dense = np.zeros((table.j_max + 1, T * npoints))
-    dense[j_of, coo.col] = coo.data
+    w2s = fractional_multiplier(grid, 2.0 * s).ravel()
+    values = np.unique(w2s)
+    assert table.classes.shape == (npoints,)
+    assert np.array_equal(values[table.classes], w2s)
+    assert table.lower.shape == (T, values.size)
+    assert table.squares.shape == (T, 2, values.size)
+    assert table.lower.min() >= 0 and table.lower.max() <= table.j_max - 1
+    dense = np.zeros((table.j_max + 1, T, npoints))
+    frames = np.arange(T)[:, None]
+    for slot in range(2):
+        dense[table.lower[:, table.classes] + slot, frames, np.arange(npoints)] = \
+            table.squares[:, slot, table.classes]
     for j in range(table.j_max + 1):
-        assert np.array_equal(dense[j], (modulation_shell(r, j) ** 2).ravel())
+        assert np.array_equal(dense[j], (modulation_shell(r, j) ** 2).reshape(T, npoints))
+    dense = dense.reshape(table.j_max + 1, -1)
     hit = dense != 0.0
     assert hit.sum(axis=0).max() <= 2
     lowest = np.argmax(hit, axis=0)
@@ -653,6 +691,21 @@ def test_modulation_table_is_two_band_and_exact(n, m, T, s):
     assert np.allclose(resolved.sum(axis=1), sums, rtol=1e-13, atol=0.0)
     assert np.allclose(resolved, (dense.reshape(-1, T, npoints) * power.reshape(T, -1)).sum(1),
                        rtol=1e-13, atol=0.0)
+    assert np.array_equal(resolved, oracle_modulation_sums(grid, T, dt, s, power))
+
+
+def test_two_large_modulation_tables_share_the_cache():
+    """The tables of (2, 128, 128) and (3, 32, 64) fit the symbol cache
+    together, at under 8 MiB each, so neither evicts the other."""
+    keys = []
+    for n, m, T in ((2, 128, 128), (3, 32, 64)):
+        cfg = SolveConfig(n=n, m=m, num_frames=T, t_half=2.0)
+        modulation_weights(cfg.grid, T, cfg.dt, cfg.s)
+        keys.append(("modulation_weights", cfg.grid, T, cfg.dt, cfg.s))
+    entries = symbol_cache_info()["entries"]
+    for key in keys:
+        assert key in entries
+        assert entries[key] < 8 * 2**20
 
 
 def test_modulation_table_refuses_shells_that_leave_a_remainder(monkeypatch):
@@ -669,7 +722,7 @@ def test_cached_symbols_are_read_only():
     table = modulation_weights(grid, 16, 0.125, 0.75)
     arrays = (fractional_multiplier(grid, 0.5), fractional_multiplier(grid, -0.5),
               axis_cone_atlas(2).multipliers(grid), axis_cone_atlas(2).multiplier(grid, 1),
-              dyadic_shell(grid, 1), table.shells.data, table.shells.indices)
+              dyadic_shell(grid, 1), table.classes, table.lower, table.squares)
     shells = shell_table(grid, 1, axis_cone_atlas(2), localized=True)
     arrays += (shells.index, shells.amplitude, shells.squares, shells.off_gate, shells.lines)
     arrays += (shell_table(grid, 1, axis_cone_atlas(2), localized=False).off_gate,)
