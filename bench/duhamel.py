@@ -11,7 +11,14 @@ model nonlinearity, Simpson rule, epsilon 1, tolerance 1e-10) at
   free_evolution    one call on the solve's data
   duhamel_map       one public Picard step (builds its own time operator)
   picard_step       one step inside picard_solve: the solve's wall time over
-                    its steps (iterations plus the final residual step)
+                    its steps (iterations plus the final residual step).
+                    The steps of a solve no longer cost the same: every
+                    iteration runs on the active frames (where the cut-off
+                    and the quadrature reach), the final residual step on
+                    the |t| < 1 rows and the columns they read, without the
+                    iterate's inverse transform, so this is an average
+  picard_solve      at (2, 32, 64) only: the 16 seeded solves of the picard
+                    benchmark workload (F^sigma diagnostic off) in one sample
 
 Usage:
 
@@ -33,6 +40,8 @@ import harness
 SIZES = ((2, 32, 64), (3, 32, 64), (4, 16, 32))
 ITEMS = ("phase_table", "fft_pair", "square_pair", "duhamel_integral", "free_evolution",
          "duhamel_map", "picard_step")
+# the picard workload: its problem, its 16 data seeds drawn from workload seed 0
+PICARD_SIZE, PICARD_SOLVES, PICARD_SEED = (2, 32, 64), 16, 0
 
 
 def _worker(repeats: int) -> dict:
@@ -69,8 +78,14 @@ def _worker(repeats: int) -> dict:
             "duhamel_map": lambda: solver.duhamel_map(free, u0, spec, cfg),
             "picard_step": solve,
         }
+        if (n, m, frames) == PICARD_SIZE:
+            seeds = np.random.default_rng(PICARD_SEED).integers(0, 2**31 - 1, PICARD_SOLVES)
+            data = [solver.gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon,
+                                                  seed=int(seed)) for seed in seeds]
+            calls["picard_solve"] = lambda: [solver.picard_solve(u, spec, cfg, fsigma_diffs=False)
+                                             for u in data]
         size = f"n{n}_m{m}_T{frames}"
-        for item in ITEMS:
+        for item in calls:
             samples = harness.time_call(calls[item], repeats)   # warms the symbol cache
             if item == "picard_step":
                 samples = [t / k for t, k in zip(samples, steps[1:])]
@@ -82,7 +97,7 @@ def main(argv=None) -> int:
     return harness.main(argv, bench="duhamel", description=__doc__.split("\n")[0],
                         script=__file__, worker=_worker,
                         what={"sizes": ["n{}_m{}_T{}".format(*size) for size in SIZES],
-                              "items": ITEMS})
+                              "items": ITEMS + ("picard_solve",)})
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,9 @@ ESTIMATE_ACCEPTANCE_KINDS = ("embedding", "linfty_l2", "smoothing", "maximal",
                              "homogeneous", "inhomogeneous", "trilinear")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="fslab", description=__doc__)
     sub = p.add_subparsers(dest="command")
 
@@ -141,6 +144,15 @@ def _norm_identity_suite(seed: int, n: int, s: float) -> dict:
             "checks": checks, "seed": seed}
 
 
+def _estimate_family(kind: str, n: int) -> norms.InputFamily | None:
+    """The family `verify estimates --n n` draws from: verify_estimate's
+    default at n = 2, and m = 8 with shells 1 and 2 in any other dimension."""
+    if n == 2:
+        return None
+    return norms.InputFamily(n=n, m=8, t_half=2.0 if kind == "inhomogeneous" else 1.0,
+                             shells=(1, 2))
+
+
 def _cmd_verify(args) -> int:
     out = args.out
     failed = False
@@ -171,7 +183,8 @@ def _cmd_verify(args) -> int:
         emit("norms_report.json", rep, rep["passed"])
     if suite in ("estimates", "all"):
         for kind in ESTIMATE_ACCEPTANCE_KINDS:
-            rep = norms.verify_estimate(kind, s=args.s, draws=args.draws, seed=args.seed)
+            rep = norms.verify_estimate(kind, _estimate_family(kind, args.n), s=args.s,
+                                        draws=args.draws, seed=args.seed)
             emit(f"estimate_{kind}_report.json", rep, bool(rep.passed))
     if suite in ("dispersive", "all"):
         spec = oscillatory.PhaseIntegralSpec(n=args.n, s=min(args.s, 0.95),

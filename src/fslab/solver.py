@@ -16,6 +16,19 @@ A factor pair u conj(u) is the real |u|^2, whose D^{-beta} takes the real
 transforms.  The solve allocates the step's frame-sized arrays once
 (_StepArrays) and every step writes into them; duhamel_map runs the same
 step on fresh ones.
+
+A step computes only the operator's active frames, those where the weights
+psi(t_i) Q[i, j] have a nonzero row or column: psi vanishes outside
+(-1.9, 1.9), so H is 0 on the other frames and the iterate equals the free
+evolution there, and no active frame reads the forcing there.  The iterate
+stays free + frames(H) in physical space, each frame the sum of two
+arrays, because that sum is what the stored references and the F^sigma
+diagnostic of the difference of two iterates have always seen; forming it
+as frames(P u0_hat + H) would move the iterates at rounding.  The final
+residual step runs on the rows with |t| < 1 and the columns they read: the
+residual max_{|t|<1} ||u - T u||_{L2} comes by Parseval from H - H' on
+those rows, with no inverse transform, and the a-priori ratio from the
+spectrum P u0_hat + H the step forms there.
 A converged and a diverged solve build their SolveResult the same way, and
 the config keys of the setting sections come from CONFIG_FIELDS.
 Smallness of the data is measured in the lattice homogeneous Sobolev norm of
@@ -24,6 +37,7 @@ order (n - 2s)/2 with the zero mode excluded.
 
 from __future__ import annotations
 
+import copy
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -40,6 +54,7 @@ from .spectral import (
     dft_inverse,
     hdot_norm,
     hdot_norms,
+    hdot_norms_from_spectrum,
 )
 
 __all__ = [
@@ -245,6 +260,23 @@ class _StepArrays:
         self.real = np.empty(shape)
         self.half = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), complex)
 
+    def fill_inactive(self, free: np.ndarray, active: slice) -> None:
+        """Write the frames that no step writes: outside `active` both iterate
+        buffers hold the free frames and the forcing array 0, which is where
+        the solve leaves the difference of two iterates."""
+        for outside in (slice(None, active.start), slice(active.stop, None)):
+            for frames in self.frames:
+                frames[outside] = free[outside]
+            self.forcing[outside] = 0.0
+
+    def part(self, frames: slice) -> "_StepArrays":
+        """The same arrays restricted to `frames` (views)."""
+        part = copy.copy(self)
+        part.frames = tuple(array[frames] for array in self.frames)
+        for name in ("duhamel", "forcing", "real", "half"):
+            setattr(part, name, getattr(self, name)[frames])
+        return part
+
 
 def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm, policy: str,
                 spectrum: np.ndarray | None = None,
@@ -277,9 +309,9 @@ def _term_apply(vals: np.ndarray, grid: Grid, term: NonlinearityTerm, policy: st
     outer = apply_fractional_values(u3, grid, term.beta, policy, spectrum=u3_spectrum,
                                     out=forcing)
     if not squared:
-        # coeff * inner * outer, in inner's array
+        # coeff * inner, then times outer in outer's array
         np.multiply(term.coeff, inner, out=inner)
-        return np.multiply(inner, outer, out=inner)
+        return np.multiply(inner, outer, out=outer)
     # the real inner times outer, then coeff, in outer's array
     np.multiply(outer, inner, out=outer)
     if term.coeff != 1.0:
@@ -317,36 +349,80 @@ def duhamel_map(v: Trajectory, u0: Field, spec: NonlinearitySpec,
                 config: SolveConfig) -> Trajectory:
     """T v = free evolution of u0 plus the windowed Duhamel correction."""
     op = DuhamelOperator(v.grid, v.t0, v.dt, v.num_frames, config.s, config.quadrature)
-    return _duhamel_step(v, op, op.free(u0), spec, config, _StepArrays(v.values.shape))[0]
+    free = op.free(u0)
+    arrays = _StepArrays(v.values.shape)
+    arrays.fill_inactive(free.values, op.active)
+    return _duhamel_step(v, op, free, spec, config, arrays)[0]
 
 
 def _duhamel_step(v: Trajectory, op: DuhamelOperator, free: Trajectory,
                   spec: NonlinearitySpec, config: SolveConfig, arrays: _StepArrays,
-                  data_hat: np.ndarray | None = None,
-                  H: np.ndarray | None = None) -> tuple:
+                  data_hat: np.ndarray | None = None, H: np.ndarray | None = None,
+                  residual: bool = False) -> tuple:
     """(T v, H') given v's frame operator and `free`, the free evolution of the data.
 
     H' is the spectrum of the Duhamel part, T v = free + op.frames(H') (None
-    without nonlinear terms).  Every frame-sized array is one of `arrays`:
+    without nonlinear terms).  The step computes the active frames only
+    (op.active): H' is 0 outside them, so T v equals `free` there, and the
+    forcing, its transforms and the Duhamel quadrature are not formed there.
+    `arrays` come from a solve (_StepArrays.fill_inactive has written the
+    frames outside op.active), and every frame-sized array is one of them:
     T v is written into the iterate buffer that does not hold v, and H' into
     arrays.duhamel.  `data_hat`, when given, is op.data_spectrum(u0) and `H`
     v's own H' (None for the free evolution): D^beta of a plain u3 then reads
     v's spectrum P u0_hat + H, formed in H's array, and takes no forward
     transform.
+
+    With `residual` (and `data_hat`), the step is the solve's final check
+    and runs on op.inner only: it forms v's spectrum P u0_hat + H on the
+    inner columns in the spare iterate buffer, leaving H as it is, and H' on
+    the inner rows, and takes no inverse transform of T v.  It returns the
+    per-frame L2 norms of v - T v on the inner rows, by Parseval from
+    H - H', and the per-frame Hdot^sigma norms of v there, from its
+    spectrum.
     """
+    out = arrays.frames[1] if v.values is arrays.frames[0] else arrays.frames[0]
+    if residual:
+        return _residual_step(v, op, spec, config, arrays, data_hat, H, out)
     if not spec.terms:
         return free, None
-    out = arrays.frames[1] if v.values is arrays.frames[0] else arrays.frames[0]
+    active = op.active
     spectrum = None
     if data_hat is not None and any(term.pattern[2] == "plain" for term in spec.terms):
         # P u0_hat is formed in `out`, which is free until T v is written
-        spectrum = op.spectrum(data_hat, H, work=out)
-    forcing = _nonlinearity_values(v.values, v.grid, spec, config.zero_mode_policy,
-                                   spectrum, arrays)
-    H = op.integral_spectrum(forcing, out=arrays.duhamel, work=forcing)
-    frames = op.frames(H, out=out)
-    frames += free.values
-    return Trajectory(v.grid, v.t0, v.dt, frames), H
+        spectrum = op.spectrum(data_hat, None if H is None else H[active], work=out[active],
+                               frames=active)
+    # the forcing is formed in arrays.forcing, where integral_spectrum reads it
+    _nonlinearity_values(v.values[active], v.grid, spec, config.zero_mode_policy, spectrum,
+                         arrays.part(active))
+    H = op.integral_spectrum(arrays.forcing, out=arrays.duhamel, work=arrays.forcing)
+    frames = op.frames(H[active], out=out[active])
+    frames += free.values[active]
+    return Trajectory(v.grid, v.t0, v.dt, out), H
+
+
+def _residual_step(v: Trajectory, op: DuhamelOperator, spec: NonlinearitySpec,
+                   config: SolveConfig, arrays: _StepArrays, data_hat: np.ndarray,
+                   H: np.ndarray | None, out: np.ndarray) -> tuple:
+    """The residual form of _duhamel_step: (L2 norms of v - T v, Hdot^sigma
+    norms of v), per inner row."""
+    g = v.grid
+    rows, cols = op.inner
+    spectrum = op.spectrum(data_hat, work=out[cols], frames=cols)
+    if H is not None:
+        # the sum of the other steps, H + P u0_hat, bit for bit
+        spectrum += H[cols]
+    hdot = hdot_norms_from_spectrum(
+        spectrum[rows.start - cols.start: rows.stop - cols.start], g, config.sigma)
+    if not spec.terms:
+        return np.zeros(hdot.shape), hdot
+    _nonlinearity_values(v.values[cols], g, spec, config.zero_mode_policy, spectrum,
+                         arrays.part(cols))
+    Tv = op.integral_spectrum(arrays.forcing, out=out, work=arrays.forcing,
+                              block=(rows, cols))
+    diff = Tv if H is None else np.subtract(H[rows], Tv, out=Tv)
+    # Parseval: sum_x |f|^2 = sum_xi |fftn(f)|^2 / m^n
+    return _frame_norms(diff, g.dx**g.n / g.npoints), hdot
 
 
 @dataclass
@@ -372,6 +448,12 @@ class SolveResult:
 
 def _inner_window_mask(times: np.ndarray) -> np.ndarray:
     return np.abs(times) < 1.0
+
+
+def _frame_norms(values: np.ndarray, scale: float) -> np.ndarray:
+    """sqrt(scale * sum |values|^2) over each frame, in one pass over the real view."""
+    flat = values.reshape(values.shape[0], -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat) * scale)
 
 
 def _linf_l2_inner(u: Trajectory, v: Trajectory | None = None) -> float:
@@ -416,12 +498,16 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
     free = op.free(u0)
     data_hat = op.data_spectrum(u0)
     arrays = _StepArrays(free.values.shape)
-    # The iterate is free + op.frames(H); only H is kept, and the iterate's
-    # spectrum P u0_hat + H is formed in H's array when a step needs it.
+    arrays.fill_inactive(free.values, op.active)
+    # The iterate is free + op.frames(H), and equals free outside op.active;
+    # only H is kept, and the iterate's spectrum P u0_hat + H is formed in H's
+    # array when a step needs it.
     current, H = free, None
+    active = op.active
 
-    def step():
-        return _duhamel_step(current, op, free, spec, config, arrays, data_hat, H)
+    def step(residual=False):
+        return _duhamel_step(current, op, free, spec, config, arrays, data_hat, H,
+                             residual=residual)
 
     ref = max(u0.l2_norm(), 1e-300)
     diffs, fdiffs, ratios, trace = [], [], [], []
@@ -446,10 +532,12 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
         start = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             nxt, H = step()
-            # the difference goes to arrays.forcing, which the next step rewrites
-            diff_traj = Trajectory(g, t0, config.dt,
-                                   np.subtract(nxt.values, current.values, out=arrays.forcing))
-            d = diff_traj.linf_l2()
+            # the difference goes to arrays.forcing, which the next step
+            # rewrites; outside the active frames it is 0
+            diff = np.subtract(nxt.values[active], current.values[active],
+                               out=arrays.forcing[active])
+            diff_traj = Trajectory(g, t0, config.dt, arrays.forcing)
+            d = float(np.max(_frame_norms(diff, g.dx**g.n), initial=0.0))
         entry = {"iteration": it, "step_s": time.perf_counter() - start, "fsigma_s": None,
                  "diff_linf_l2": d, "contraction_ratio": None, "finite": bool(np.isfinite(d))}
         trace.append(entry)
@@ -473,9 +561,10 @@ def picard_solve(u0: Field, spec: NonlinearitySpec, config: SolveConfig,
             raise diverged(f"Picard iteration diverging after {it} steps "
                            f"(last ratios {ratios[-3:]})", it)
 
-    residual = _linf_l2_inner(current, step()[0]) / ref
-    apriori = _linf_hdot_inner(current, config.sigma) / max(data_hdot, 1e-300)
-    return result(iterations, residual, apriori)
+    # v - T v and v's Hdot^sigma norms on |t| < 1, from the spectra
+    residuals, hdots = step(residual=True)
+    return result(iterations, float(np.max(residuals)) / ref,
+                  float(np.max(hdots)) / max(data_hdot, 1e-300))
 
 
 def residual_check(u: Trajectory, u0: Field, spec: NonlinearitySpec,

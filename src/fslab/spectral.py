@@ -92,6 +92,7 @@ __all__ = [
     "modulation_offset",
     "hdot_norm",
     "hdot_norms",
+    "hdot_norms_from_spectrum",
     "DuhamelOperator",
     "cumulative_trapezoid",
     "cumulative_simpson",
@@ -647,6 +648,17 @@ def hdot_norms(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     return np.sqrt(np.sum(_hdot_weight(grid, sigma) * power, axis=axes) * scale)
 
 
+def hdot_norms_from_spectrum(spectrum: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """hdot_norms of the frames whose unscaled FFT-native spectrum is `spectrum`.
+
+    Each frame's weighted sum takes one pass over the real view of its
+    spectrum, so the norms agree with hdot_norms to rounding, not bit for bit.
+    """
+    flat = spectrum.reshape(spectrum.shape[0], -1, 1).view(np.float64)
+    sums = np.einsum("ijk,ijk,j->i", flat, flat, _hdot_weight(grid, sigma).reshape(-1))
+    return np.sqrt(sums * grid.dx ** (2 * grid.n) / grid.box_length**grid.n)
+
+
 def hdot_norm(f: Field, sigma: float) -> float:
     """Lattice homogeneous Sobolev seminorm; the zero mode is excluded."""
     return float(hdot_norms(f.values, f.grid, sigma))
@@ -730,12 +742,23 @@ class DuhamelOperator:
         free(u0)         e^{i t D^{2s}} u0                     = ifftn(P * u0_hat)
         integral(F)      -i psi(t) int_0^t e^{i(t-t')D^{2s}} F(t') dt'
                                                   = ifftn(H),
-        integral_spectrum(F)   H = -i psi P * (Q @ (conj(P) * F_hat))
+        integral_spectrum(F)   H = -i psi P * (W @ (conj(P) * F_hat))
 
-    where Q is duhamel_quadrature (shared through the symbol cache) and psi
-    the time cut-off, both built on the first integral, which needs t = 0 on
-    a frame.  P is as large as a trajectory, so it lives as long as the
-    operator and never enters the symbol cache.
+    where W = psi(t_i) Q[i, j] are the weights, Q is duhamel_quadrature
+    (shared through the symbol cache) and psi the time cut-off, both built
+    on the first integral, which needs t = 0 on a frame.  P is as large as a
+    trajectory, so it lives as long as the operator and never enters the
+    symbol cache.
+
+    Two frame ranges are read off the nonzero pattern of W:
+    `active`, the frames whose row or column of W is nonzero, and `inner`,
+    the rows with |t| < 1 (where psi = 1) with the columns they read.  H
+    vanishes outside the active frames, and an integral transforms,
+    multiplies and integrates the active frames only; the other frames of
+    H are written as 0.  So a Picard iterate free(u0) + frames(H) equals
+    the free evolution outside the active frames, and a step needs the
+    forcing on the active frames only.  On the block of W it applies, the
+    product is the full product's bit for bit.
 
     A Picard iterate free(u0) + frames(H) has the spectrum
     spectrum(data_spectrum(u0), H) = P * u0_hat + H, so a caller that keeps
@@ -764,6 +787,20 @@ class DuhamelOperator:
         Q = duhamel_quadrature(self.num_frames, i0, self.dt, self.rule)
         return time_cutoff(times)[:, None] * Q
 
+    @cached_property
+    def active(self) -> slice:
+        """The span of the frames whose row or column of the weights is nonzero."""
+        nonzero = self._weights != 0.0
+        return _span(np.any(nonzero, axis=1) | np.any(nonzero, axis=0))
+
+    @cached_property
+    def inner(self) -> tuple:
+        """(rows, cols): the rows with |t| < 1, and the span of those rows and
+        of the columns their weights read."""
+        rows = np.abs(self.times) < 1.0
+        cols = _span(rows | np.any(self._weights[rows] != 0.0, axis=0))
+        return _span(rows), cols
+
     def data_spectrum(self, u0: Field) -> np.ndarray:
         """u0_hat: the unscaled spectrum of the data, FFT-native order."""
         return _fftn(u0.values)
@@ -776,15 +813,16 @@ class DuhamelOperator:
         return _ifftn(spectrum, axes=self._axes, out=out)
 
     def spectrum(self, data_hat: np.ndarray, duhamel: np.ndarray | None = None,
-                 work: np.ndarray | None = None) -> np.ndarray:
+                 work: np.ndarray | None = None, frames: slice = slice(None)) -> np.ndarray:
         """P * data_hat + duhamel: the spectrum of the frames free(u0) + frames(duhamel).
 
-        `data_hat` is data_spectrum(u0) and `duhamel` an integral_spectrum.
-        The sum is formed in the `duhamel` array, which the caller gives up;
-        P * data_hat is formed in `work` (allocated when not given), which is
-        the result when there is no `duhamel`.
+        `data_hat` is data_spectrum(u0) and `duhamel` an integral_spectrum,
+        both on the frames `frames` (all by default).  The sum is formed in
+        the `duhamel` array, which the caller gives up; P * data_hat is formed
+        in `work` (allocated when not given), which is the result when there
+        is no `duhamel`.
         """
-        free_part = np.multiply(self.phases, data_hat, out=work)
+        free_part = np.multiply(self.phases[frames], data_hat, out=work)
         if duhamel is None:
             return free_part
         duhamel += free_part
@@ -799,31 +837,53 @@ class DuhamelOperator:
         return Trajectory(g, self.t0, self.dt, frames)
 
     def integral_spectrum(self, forcing: np.ndarray, out: np.ndarray | None = None,
-                          work: np.ndarray | None = None) -> np.ndarray:
+                          work: np.ndarray | None = None,
+                          block: tuple | None = None) -> np.ndarray:
         """H, the FFT-native spectrum of the Duhamel term of the forcing frames.
 
-        H is written into `out` and the forcing's spectrum into `work`, each
-        allocated when not given; `work` may be `forcing` itself when the
-        caller gives the forcing up.
+        All arrays hold all T frames.  By default H is formed on the active
+        frames from the forcing there, written as 0 elsewhere, and returned
+        whole.  With `block` = (rows, cols), such as `inner`, H is formed on
+        `rows` from the forcing on `cols`, which must hold every column
+        those rows read, and out[rows] is returned; the rest of `out` is
+        scratch.  H is written into `out` and the forcing's spectrum into
+        `work`, each allocated when not given; `work` may be `forcing`
+        itself when the caller gives the forcing up.  Only the forcing on
+        the columns used is read.
         """
         T = self.num_frames
         if forcing.shape[0] != T:
             raise ValueError("forcing frames do not match the operator's lattice")
-        W = _fftn(forcing, axes=self._axes, out=work)
+        rows, cols = (self.active, self.active) if block is None else block
+        if out is None:
+            out = np.empty(forcing.shape, complex)
+        W = _fftn(forcing[cols], axes=self._axes,
+                  out=None if work is None else work[cols])
         # conj(P) is held in H's array until the product is taken
-        H = np.conjugate(self.phases, out=out)
-        W *= H
-        # the real (T, T) weights act on the real and imaginary parts alike
-        np.matmul(self._weights, W.reshape(T, -1).view(np.float64),
-                  out=H.reshape(T, -1).view(np.float64))
-        H *= self.phases
+        W *= np.conjugate(self.phases[cols], out=out[cols])
+        H = out[rows]
+        # the real weights act on the real and imaginary parts alike
+        points = self.grid.npoints
+        np.matmul(self._weights[rows, cols], W.reshape(-1, points).view(np.float64),
+                  out=H.reshape(-1, points).view(np.float64))
+        H *= self.phases[rows]
         H *= -1j
-        return H
+        if block is not None:
+            return H
+        out[: rows.start] = 0.0
+        out[rows.stop:] = 0.0
+        return out
 
     def integral(self, forcing: Trajectory) -> Trajectory:
         """The windowed Duhamel term of a forcing on the same frames."""
         H = self.integral_spectrum(forcing.values)
         return Trajectory(self.grid, forcing.t0, forcing.dt, self.frames(H))
+
+
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True entry of `mask` (empty if none)."""
+    index = np.flatnonzero(mask)
+    return slice(int(index[0]), int(index[-1]) + 1) if index.size else slice(0, 0)
 
 
 def duhamel_integral(forcing: Trajectory, s: float, rule: str = "trapezoid") -> Trajectory:

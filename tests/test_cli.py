@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fslab.cli import main
+from fslab.cli import ESTIMATE_ACCEPTANCE_KINDS, _build_parser, main
 from fslab.fslb_io import read_fslb, write_fslb
 from fslab.norms import InputFamily
 
@@ -116,6 +116,33 @@ def test_verify_nprops_writes_report(tmp_path):
     doc = json.loads((out / "nprops_report.json").read_text())
     assert doc["check_id"] == "n_properties"
     assert doc["passed"] is True
+
+
+def test_verify_estimates_runs_the_given_dimension(tmp_path):
+    rc = main(["verify", "estimates", "--n", "4", "--draws", "1", "--out", str(tmp_path)])
+    assert rc in (0, 1)
+    for kind in ESTIMATE_ACCEPTANCE_KINDS:
+        family = json.loads((tmp_path / f"estimate_{kind}_report.json").read_text())[
+            "params"]["family"]
+        assert family["n"] == 4 and family["m"] == 8 and family["shells"] == [1, 2]
+        assert family["t_half"] == (2.0 if kind == "inhomogeneous" else 1.0)
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
+    fresh_help = _build_parser.__wrapped__().format_help()
+    assert main(["verify", "norms", "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+    assert main(["report", "--dir", str(tmp_path / "a"),
+                 "--out", str(tmp_path / "summary.json")]) == 0
+    assert main(["verify", "norms", "--out", str(tmp_path / "b")]) == 0
+    assert _build_parser.cache_info().misses <= 1
+    # the second verify ran at the default seed, not at the first call's
+    assert json.loads((tmp_path / "a" / "norms_report.json").read_text())["seed"] == 3
+    assert json.loads((tmp_path / "b" / "norms_report.json").read_text())["seed"] == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == fresh_help
 
 
 def test_verify_norms_suite(tmp_path):

@@ -335,17 +335,23 @@ def test_nonlinearity_in_step_arrays_is_bit_identical(grid):
 
 def test_picard_step_takes_five_frame_transforms(monkeypatch):
     """|u|^2 there and back in the real transforms, D^beta u's inverse, the
-    forcing's forward transform and the iterate's inverse per step."""
-    cfg = SolveConfig(n=2, m=16, num_frames=32, epsilon=0.5, tolerance=1e-14)
+    forcing's forward transform and the iterate's inverse per step, each on
+    the active frames; the final residual step takes the first four on the
+    inner columns and no inverse of the iterate."""
+    cfg = SolveConfig(n=2, m=16, num_frames=64, epsilon=0.5, tolerance=1e-14)
     u0 = gaussian_spectrum_data(cfg.grid, cfg.sigma, cfg.epsilon, seed=1)
-    frame_shape = (cfg.num_frames,) + cfg.grid.shape
-    half_shape = frame_shape[:-1] + (cfg.m // 2 + 1,)
+    op = DuhamelOperator(cfg.grid, -cfg.t_half, cfg.dt, cfg.num_frames, cfg.s, cfg.quadrature)
+    # frames 2-62 are active, and the rows 17-47 (|t| < 1) read columns 16-48
+    active, inner = 61, 33
+    assert op.active == slice(2, 63) and op.inner == (slice(17, 48), slice(16, 49))
     counts = {}
 
     def counting(name, inner):
         def counted(x, *args, **kwargs):
-            if np.shape(x) in (frame_shape, half_shape):
-                counts[name] = counts.get(name, 0) + 1
+            # every batch of frames, full or half spectra, of any length
+            if np.ndim(x) == 3 and np.shape(x)[1:] in (cfg.grid.shape, (cfg.m, cfg.m // 2 + 1)):
+                key = (name, np.shape(x)[0])
+                counts[key] = counts.get(key, 0) + 1
             return inner(x, *args, **kwargs)
         return counted
 
@@ -358,11 +364,15 @@ def test_picard_step_takes_five_frame_transforms(monkeypatch):
         res = picard_solve(u0, default_nonlinearity(cfg.s), cfg, fsigma_diffs=False)
         assert res.iterations == iterations and not res.converged
         per_solve.append(dict(counts))
-    # the free evolution takes one inverse, and every step, the final
-    # residual's included, fftn 1, rfftn 1, ifftn 2 and irfftn 1
-    for steps, counted in zip((2, 3), per_solve):
-        assert counted == {"fftn": steps, "rfftn": steps, "ifftn": 1 + 2 * steps,
-                           "irfftn": steps}
+    # the free evolution takes one inverse of all 64 frames; every step fftn 1,
+    # rfftn 1, ifftn 2 and irfftn 1 of the active frames; the residual step
+    # fftn 1, rfftn 1, ifftn 1 and irfftn 1 of the inner columns
+    for steps, counted in zip((1, 2), per_solve):
+        assert counted == {("ifftn", 64): 1,
+                           ("fftn", active): steps, ("rfftn", active): steps,
+                           ("ifftn", active): 2 * steps, ("irfftn", active): steps,
+                           ("fftn", inner): 1, ("rfftn", inner): 1,
+                           ("ifftn", inner): 1, ("irfftn", inner): 1}
 
 
 def test_picard_steps_allocate_no_frame_batch(monkeypatch):
